@@ -592,6 +592,7 @@ let parallel () =
     (Obs.Json.Obj
        [ ("kind", Obs.Json.Str "bench-parallel");
          ("jobs", Obs.Json.Int jobs);
+         ("nproc", Obs.Json.Int (Domain.recommended_domain_count ()));
          ("micro_ns",
           Obs.Json.Obj (List.map (fun (n, v) -> (Filename.basename n, Obs.Json.Float v)) rows));
          ("gate",

@@ -126,8 +126,11 @@ let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Worker domains for parallel work: suite programs in `eval`, \
                the minibatch gemm rows in `train`. Results are byte-identical \
-               to --jobs 1 (see DESIGN.md §9). Default 1 (sequential, no \
-               domains spawned).")
+               to --jobs 1 (see DESIGN.md §9). `eval` gets faster; `train` \
+               gets slower, since its gemms are too small to pay for the \
+               dispatch: on 2 cores `train --fast` took 1.2x the wall time \
+               at --jobs 2 that it took at --jobs 1. Default 1 (sequential, \
+               no domains spawned).")
 
 (* [f] gets [Some pool] only when parallelism was actually requested, so
    the sequential path stays domain-free. *)

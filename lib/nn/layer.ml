@@ -32,16 +32,17 @@ let create (rng : Rng.t) ~in_dim ~out_dim ~relu =
     mb = Array.make out_dim 0.0;
     vb = Array.make out_dim 0.0 }
 
-type cache = {
-  input : float array;
-  pre : float array; (* pre-activation *)
-}
-
-let forward (l : t) (x : float array) : float array * cache =
-  let pre = Matrix.matvec l.w x in
-  Array.iteri (fun i b -> pre.(i) <- pre.(i) +. b) l.b;
-  let out = if l.relu then Array.map (fun v -> if v > 0.0 then v else 0.0) pre else Array.copy pre in
-  (out, { input = x; pre })
+(* One sample: [relu (w x + b)], the inference path ([Dqn.q_values]).
+   Here and in the batched path ReLU is [v > 0.0 ? v : 0.0], so NaN and
+   -0.0 map to +0.0, written as loops over the float arrays: [Array.map]
+   would box every element. *)
+let forward (l : t) (x : float array) : float array =
+  let y = Matrix.matvec l.w x in
+  for i = 0 to Array.length y - 1 do
+    let v = y.(i) +. l.b.(i) in
+    y.(i) <- (if l.relu && not (v > 0.0) then 0.0 else v)
+  done;
+  y
 
 (* --- minibatch path --------------------------------------------------------
 
@@ -61,30 +62,40 @@ let forward_batch ?pool (l : t) (x : Matrix.t) : Matrix.t * bcache =
     invalid_arg "Layer.forward_batch: dimension mismatch";
   let pre = Matrix.gemm_nt ?pool x l.w in
   let out_dim = l.w.Matrix.rows in
+  let pd = pre.Matrix.data in
   for i = 0 to pre.Matrix.rows - 1 do
     let base = i * out_dim in
     for j = 0 to out_dim - 1 do
-      pre.Matrix.data.(base + j) <- pre.Matrix.data.(base + j) +. l.b.(j)
+      pd.(base + j) <- pd.(base + j) +. l.b.(j)
     done
   done;
   let out =
-    if l.relu then
-      { pre with
-        Matrix.data =
-          Array.map (fun v -> if v > 0.0 then v else 0.0) pre.Matrix.data }
+    if l.relu then begin
+      let o = Matrix.create pre.Matrix.rows out_dim in
+      for i = 0 to Array.length pd - 1 do
+        let v = pd.(i) in
+        if v > 0.0 then o.Matrix.data.(i) <- v
+      done;
+      o
+    end
     else Matrix.copy pre
   in
   (out, { binput = x; bpre = pre })
 
-(* Accumulates gradients over the whole batch; returns dL/dinput rows. *)
-let backward_batch ?pool (l : t) (c : bcache) (dout : Matrix.t) : Matrix.t =
+(* The parameter-gradient half of the backward pass: accumulates the
+   batch's weight and bias gradients from per-row dL/doutput and returns
+   dL/dpre (dout through the ReLU mask). The other half, dL/dinput, is
+   [dpre · w] ([Mlp.backward_batch]). *)
+let param_grads_batch (l : t) (c : bcache) (dout : Matrix.t) : Matrix.t =
   let dpre =
-    if l.relu then
-      { dout with
-        Matrix.data =
-          Array.mapi
-            (fun i d -> if c.bpre.Matrix.data.(i) > 0.0 then d else 0.0)
-            dout.Matrix.data }
+    if l.relu then begin
+      let m = Matrix.create dout.Matrix.rows dout.Matrix.cols in
+      let pd = c.bpre.Matrix.data and dd = dout.Matrix.data in
+      for i = 0 to Array.length dd - 1 do
+        if pd.(i) > 0.0 then m.Matrix.data.(i) <- dd.(i)
+      done;
+      m
+    end
     else dout
   in
   Matrix.gemm_tn_acc l.gw dpre c.binput;
@@ -95,18 +106,7 @@ let backward_batch ?pool (l : t) (c : bcache) (dout : Matrix.t) : Matrix.t =
       l.gb.(j) <- l.gb.(j) +. dpre.Matrix.data.(base + j)
     done
   done;
-  Matrix.gemm ?pool dpre l.w
-
-(* Accumulates gradients; returns dL/dinput. *)
-let backward (l : t) (c : cache) (dout : float array) : float array =
-  let dpre =
-    if l.relu then
-      Array.mapi (fun i d -> if c.pre.(i) > 0.0 then d else 0.0) dout
-    else dout
-  in
-  Matrix.outer_add l.gw ~k:1.0 dpre c.input;
-  Array.iteri (fun i d -> l.gb.(i) <- l.gb.(i) +. d) dpre;
-  Matrix.matvec_t l.w dpre
+  dpre
 
 let zero_grad (l : t) =
   Matrix.fill_zero l.gw;

@@ -20,27 +20,7 @@ let create (rng : Rng.t) (dims : int list) : t =
   { layers; dims }
 
 let forward (net : t) (x : float array) : float array =
-  Array.fold_left (fun x l -> fst (Layer.forward l x)) x net.layers
-
-type caches = Layer.cache array
-
-let forward_cached (net : t) (x : float array) : float array * caches =
-  let caches = Array.make (Array.length net.layers) { Layer.input = x; Layer.pre = x } in
-  let out = ref x in
-  Array.iteri
-    (fun k l ->
-      let o, c = Layer.forward l !out in
-      caches.(k) <- c;
-      out := o)
-    net.layers;
-  (!out, caches)
-
-(* Backpropagate dL/doutput, accumulating parameter gradients. *)
-let backward (net : t) (caches : caches) (dout : float array) : unit =
-  let d = ref dout in
-  for k = Array.length net.layers - 1 downto 0 do
-    d := Layer.backward net.layers.(k) caches.(k) !d
-  done
+  Array.fold_left (fun x l -> Layer.forward l x) x net.layers
 
 (* --- minibatch path: one gemm per layer over the whole batch ------------- *)
 
@@ -62,12 +42,16 @@ let forward_batch ?pool (net : t) (x : Matrix.t) : Matrix.t =
   fst (forward_batch_cached ?pool net x)
 
 (* Backpropagate per-row dL/doutput, accumulating parameter gradients
-   over the whole batch. *)
+   over the whole batch. Below each layer but the first, the next
+   layer's dL/doutput is this one's dL/dinput = dpre · w; the network's
+   own input needs no gradient, so layer 0 skips that product. *)
 let backward_batch ?pool (net : t) (caches : bcaches) (dout : Matrix.t) : unit =
-  let d = ref dout in
-  for k = Array.length net.layers - 1 downto 0 do
-    d := Layer.backward_batch ?pool net.layers.(k) caches.(k) !d
-  done
+  let rec back k d =
+    let l = net.layers.(k) in
+    let dpre = Layer.param_grads_batch l caches.(k) d in
+    if k > 0 then back (k - 1) (Matrix.gemm ?pool dpre l.Layer.w)
+  in
+  back (Array.length net.layers - 1) dout
 
 let zero_grad (net : t) = Array.iter Layer.zero_grad net.layers
 

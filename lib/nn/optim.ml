@@ -13,13 +13,20 @@ let create ?(lr = 1e-4) ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8)
     ?(grad_clip = 10.0) () =
   { lr; beta1; beta2; eps; grad_clip; step_count = 0 }
 
+(* Global L2 norm of the accumulated gradients. The sum is a local of
+   plain loops (no closure captures it), so it stays an unboxed float. *)
 let grad_norm (net : Mlp.t) : float =
   let acc = ref 0.0 in
-  Array.iter
-    (fun (l : Layer.t) ->
-      Array.iter (fun g -> acc := !acc +. (g *. g)) l.Layer.gw.Matrix.data;
-      Array.iter (fun g -> acc := !acc +. (g *. g)) l.Layer.gb)
-    net.Mlp.layers;
+  for k = 0 to Array.length net.Mlp.layers - 1 do
+    let l = net.Mlp.layers.(k) in
+    let gw = l.Layer.gw.Matrix.data and gb = l.Layer.gb in
+    for i = 0 to Array.length gw - 1 do
+      acc := !acc +. (gw.(i) *. gw.(i))
+    done;
+    for i = 0 to Array.length gb - 1 do
+      acc := !acc +. (gb.(i) *. gb.(i))
+    done
+  done;
   sqrt !acc
 
 let step (o : t) (net : Mlp.t) : unit =

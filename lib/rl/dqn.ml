@@ -72,53 +72,44 @@ let select_action (t : t) (rng : Rng.t) ~(epsilon : float) (state : float array)
   if Rng.float rng < epsilon then Rng.int rng t.n_actions
   else greedy_action t state
 
-(* TD target for one transition (kept for the per-sample ablation and
-   the tests' reference arithmetic). *)
-let td_target (t : t) (tr : Replay.transition) : float =
-  match tr.Replay.next_state with
-  | None -> tr.Replay.reward
-  | Some s' ->
-    let future =
-      if t.double then begin
-        (* online net picks a'; target net scores it *)
-        let a' = Vecf.argmax (Mlp.forward t.online s') in
-        (Mlp.forward t.target s').(a')
-      end
-      else Vecf.max_elt (Mlp.forward t.target s')
-    in
-    tr.Replay.reward +. (t.gamma *. future)
+(* First index of a maximal element of row [k] — [Vecf.argmax] of that
+   row, read in place. *)
+let row_argmax (m : Matrix.t) (k : int) : int =
+  let base = k * m.Matrix.cols and d = m.Matrix.data in
+  let best = ref 0 in
+  for j = 1 to m.Matrix.cols - 1 do
+    if d.(base + j) > d.(base + !best) then best := j
+  done;
+  !best
 
 (* TD targets for a whole batch: gather the non-terminal next states
    into one matrix and run the target (and, for double DQN, the online)
    network once — two gemm sweeps replace 2n matvec chains. *)
 let td_targets (t : t) (batch : Replay.transition array) : float array =
-  let targets = Array.map (fun tr -> tr.Replay.reward) batch in
-  let live = ref [] in
+  let n = Array.length batch in
+  let targets = Array.make n 0.0 in
+  (* the k-th live transition is batch.(idx.(k)), its next state rows.(k) *)
+  let idx = Array.make n 0 and rows = Array.make n [||] and live = ref 0 in
   Array.iteri
     (fun i tr ->
+      targets.(i) <- tr.Replay.reward;
       match tr.Replay.next_state with
-      | Some s' -> live := (i, s') :: !live
+      | Some s' ->
+        idx.(!live) <- i;
+        rows.(!live) <- s';
+        incr live
       | None -> ())
     batch;
-  (match List.rev !live with
-   | [] -> ()
-   | live ->
-     let idx = Array.of_list (List.map fst live) in
-     let s' = Matrix.of_rows (Array.of_list (List.map snd live)) in
-     let q_tgt = Mlp.forward_batch ?pool:t.pool t.target s' in
-     let futures =
-       if t.double then begin
-         let q_onl = Mlp.forward_batch ?pool:t.pool t.online s' in
-         Array.init (Array.length idx) (fun k ->
-             let a' = Vecf.argmax (Matrix.row q_onl k) in
-             Matrix.get q_tgt k a')
-       end
-       else
-         Array.init (Array.length idx) (fun k -> Vecf.max_elt (Matrix.row q_tgt k))
-     in
-     Array.iteri
-       (fun k i -> targets.(i) <- targets.(i) +. (t.gamma *. futures.(k)))
-       idx);
+  if !live > 0 then begin
+    let s' = Matrix.of_rows (Array.sub rows 0 !live) in
+    let q_tgt = Mlp.forward_batch ?pool:t.pool t.target s' in
+    let q_onl = if t.double then Mlp.forward_batch ?pool:t.pool t.online s' else q_tgt in
+    for k = 0 to !live - 1 do
+      (* double: the online net picks a', the target net scores it *)
+      let future = Matrix.get q_tgt k (row_argmax q_onl k) in
+      targets.(idx.(k)) <- targets.(idx.(k)) +. (t.gamma *. future)
+    done
+  end;
   targets
 
 (* One gradient step over a sampled batch; returns mean Huber loss.
@@ -138,15 +129,14 @@ let train_batch (t : t) (batch : Replay.transition array) : float =
         let q, caches = Mlp.forward_batch_cached ?pool:t.pool t.online x in
         let total = ref 0.0 in
         let dout = Matrix.create n t.n_actions in
-        Array.iteri
-          (fun i tr ->
-            let a = tr.Replay.action in
-            let loss, dpred =
-              Loss.huber ~pred:(Matrix.get q i a) ~target:targets.(i) ()
-            in
-            total := !total +. loss;
-            Matrix.set dout i a (dpred /. float_of_int n))
-          batch;
+        for i = 0 to n - 1 do
+          let a = batch.(i).Replay.action in
+          let loss, dpred =
+            Loss.huber ~pred:(Matrix.get q i a) ~target:targets.(i) ()
+          in
+          total := !total +. loss;
+          Matrix.set dout i a (dpred /. float_of_int n)
+        done;
         Mlp.backward_batch ?pool:t.pool t.online caches dout;
         Optim.step t.optim t.online;
         t.train_steps <- t.train_steps + 1;

@@ -47,13 +47,13 @@ val select_action :
 (** ε-greedy: consumes one float from the stream, plus one int draw on
     the explore branch — the exact draw pattern seeds replay on. *)
 
-val td_target : t -> Replay.transition -> float
-(** Per-sample TD target — the tests' reference arithmetic for
-    {!td_targets}. *)
-
 val td_targets : t -> Replay.transition array -> float array
-(** Batched TD targets (one target-network gemm sweep; two for double
-    DQN); element-for-element equal to mapping {!td_target}. *)
+(** Batched TD targets: [reward] for a terminal transition, else
+    [reward + gamma * Q_target(s', a')] with [a'] the online network's
+    argmax on [s'] (double DQN) or the target's own (vanilla). One
+    target-network gemm sweep over the live next states; two for double
+    DQN. Bit-identical to targets computed with per-sample
+    [Mlp.forward]s. *)
 
 val train_batch : t -> Replay.transition array -> float
 (** One gradient step over the batch; returns the mean Huber loss.
