@@ -6,13 +6,14 @@
      run    interpret a textual MiniIR module
      train  train a DQN phase-ordering model and save its weights
      eval   evaluate a saved model against the validation suites
-     report aggregate a --trace JSONL file into per-span/per-pass tables
+     report fold a --trace JSONL file into hotspot, per-pass and
+            per-action tables (shared with `runs profile`)
      profile run train/eval under the hotspot profiler: ranked self-time
             table, jobs-1-vs-N comparison, GC/alloc totals, folded export
      runs   the run ledger: list past runs, show one (manifest +
             training curves), compare two with regression detection
             (--attrib adds the per-action reward-attribution diff),
-            rebuild a profile from a run's trace
+            rebuild a profile from a run's trace (the `report` tables)
      explain replay a run's ledger into a policy-introspection report:
             per-action reward attribution (verified against the episode
             stream), top schedules, drift timeline, watchdog alerts
@@ -24,11 +25,13 @@
      odg    inspect the Oz Dependence Graph (stats, dot, derived walks)
      list   list registered passes / benchmark programs
 
-   opt/train/eval take --trace FILE.jsonl (write a span trace) and
-   --metrics (print the metrics registry on exit); train/eval take
-   --run-dir DIR (or --run NAME) to persist the run in the ledger and
-   --serve PORT to expose live /metrics + /healthz over HTTP;
-   report takes --chrome OUT.json for a Perfetto-loadable export. *)
+   opt/train/eval take --trace FILE.jsonl (write a span trace),
+   --metrics (print the metrics registry on exit) and --sanitize LEVEL
+   (re-check every pass's output; opt always checks at least
+   structurally); train/eval take --run-dir DIR (or --run NAME) to
+   persist the run in the ledger and --serve PORT to expose live
+   /metrics + /healthz over HTTP; report takes --chrome OUT.json for a
+   Perfetto-loadable export. *)
 
 open Cmdliner
 open Posetrl_ir
@@ -92,12 +95,7 @@ let with_obs ~(trace : string option) ~(metrics : bool) (f : unit -> 'a) : 'a =
   if metrics then Obs.Console.print_metrics ~title:"metrics (posetrl.*)" ();
   r
 
-(* --- IR checking (--verify-each / --sanitize, shared by opt/train/eval) ---- *)
-
-let verify_each_arg =
-  Arg.(value & flag & info [ "verify-each" ]
-         ~doc:"Run the structural IR verifier after every pass (slower; \
-               catches miscompiling passes at the pass that broke the IR).")
+(* --- IR checking (--sanitize, shared by opt/train/eval) ------------------- *)
 
 let sanitize_arg =
   Arg.(value & opt string "off" & info [ "sanitize" ] ~docv:"LEVEL"
@@ -107,7 +105,8 @@ let sanitize_arg =
                differentially simulated against its input on seeded concrete \
                inputs). On failure a delta-minimized repro is written to the \
                run ledger's repros/ directory (or runs/repros without a \
-               ledger run) and the command aborts.")
+               ledger run) and the command aborts. `opt` never checks below \
+               structural.")
 
 let sanitize_of_string (s : string) : A.Sanitize.level =
   match A.Sanitize.level_of_string s with
@@ -287,12 +286,6 @@ let opt_cmd =
   let emit =
     Arg.(value & flag & info [ "emit" ] ~doc:"Print the optimized module.")
   in
-  let alias =
-    Arg.(value & flag & info [ "alias" ]
-           ~doc:"Consult the interprocedural alias analysis in dse/licm/gvn \
-                 (opt-in; byte-identical to the legacy facts on the bundled \
-                 suites, cmp-gated in the test suite).")
-  in
   let inject_bug =
     Arg.(value & flag & info [ "inject-bug" ]
            ~doc:"Append a deliberately miscompiling sink pass (first add in \
@@ -301,13 +294,12 @@ let opt_cmd =
                  --sanitize equiv catches it. Testing hook for the \
                  translation-validation tier.")
   in
-  let run program level passes target emit sanitize alias inject_bug trace
-      metrics =
+  let run program level passes target emit sanitize inject_bug trace metrics =
     let m = load_program program in
     let tgt = target_of_string target in
-    let sanitize = sanitize_of_string sanitize in
+    (* opt always checks each pass's output at least structurally *)
+    let sanitize = max A.Sanitize.Structural (sanitize_of_string sanitize) in
     let repro_dir = repro_dir_of_run None in
-    let with_alias cfg = { cfg with P.Config.use_alias = alias } in
     report_module tgt "input" m;
     let m' =
       with_obs ~trace ~metrics (fun () ->
@@ -318,19 +310,17 @@ let opt_cmd =
               List.iter
                 (fun n -> if Option.is_none (P.Registry.find n) then failwith ("unknown pass " ^ n))
                 names;
-              P.Pass_manager.run ~verify:true ~sanitize ~repro_dir
-                (with_alias P.Config.oz) names m
+              P.Pass_manager.run ~sanitize ~repro_dir P.Config.oz names m
             | None ->
               (match P.Pipelines.level_of_string level with
                | Some l ->
-                 P.Pass_manager.run ~verify:true ~sanitize ~repro_dir
-                   (with_alias (P.Pipelines.config_of l))
-                   (P.Pipelines.sequence_of l) m
+                 P.Pass_manager.run ~sanitize ~repro_dir
+                   (P.Pipelines.config_of l) (P.Pipelines.sequence_of l) m
                | None -> failwith ("unknown level " ^ level))
           in
           if inject_bug then
             P.Pass_manager.run_pass ~sanitize ~repro_dir P.Sink.pass
-              (with_alias P.Config.oz) m'
+              P.Config.oz m'
           else m')
     in
     report_module tgt "output" m';
@@ -338,7 +328,7 @@ let opt_cmd =
   in
   Cmd.v (Cmd.info "opt" ~doc:"Apply an optimization pipeline to a module")
     Term.(const run $ program $ level $ passes $ target $ emit $ sanitize_arg
-          $ alias $ inject_bug $ trace_arg $ metrics_arg)
+          $ inject_bug $ trace_arg $ metrics_arg)
 
 (* --- run ------------------------------------------------------------------- *)
 
@@ -409,8 +399,8 @@ let train_cmd =
                  nan_loss rule fires. CI uses this to exercise the alert \
                  pipeline end to end; never set it for real training.")
   in
-  let go out space target steps fast seed corpus_size inject_nan jobs
-      verify_each sanitize trace metrics run_dir run_name serve serve_grace =
+  let go out space target steps fast seed corpus_size inject_nan jobs sanitize
+      trace metrics run_dir run_name serve serve_grace =
     let actions = space_of_string space in
     let tgt = target_of_string target in
     let sanitize = sanitize_of_string sanitize in
@@ -522,7 +512,6 @@ let train_cmd =
                       C.Trainer.train ?pool ~hp ~on_progress ~on_episode
                         ~on_step:(fun _ -> pump ()) ~on_alert
                         ?inject_nan_at:inject_nan ~coverage
-                        ~verify:verify_each
                         ~sanitize ~repro_dir:(repro_dir_of_run run) ~seed
                         ~corpus ~actions ~target:tgt ()))
             in
@@ -559,7 +548,7 @@ let train_cmd =
   in
   Cmd.v (Cmd.info "train" ~doc:"Train a phase-ordering model")
     Term.(const go $ out $ space $ target $ steps $ fast $ seed $ corpus_size
-          $ inject_nan $ jobs_arg $ verify_each_arg $ sanitize_arg $ trace_arg
+          $ inject_nan $ jobs_arg $ sanitize_arg $ trace_arg
           $ metrics_arg $ run_dir_arg $ run_name_arg $ serve_arg
           $ serve_grace_arg)
 
@@ -576,8 +565,8 @@ let eval_cmd =
   let target =
     Arg.(value & opt string "x86" & info [ "target" ] ~doc:"x86 or aarch64.")
   in
-  let go weights space target jobs verify_each sanitize trace metrics run_dir
-      run_name serve serve_grace =
+  let go weights space target jobs sanitize trace metrics run_dir run_name
+      serve serve_grace =
     let actions = space_of_string space in
     let tgt = target_of_string target in
     let sanitize = sanitize_of_string sanitize in
@@ -611,9 +600,9 @@ let eval_cmd =
                     (fun suite ->
                       pump ();
                       let results =
-                        C.Evaluate.evaluate_programs ?pool ~verify:verify_each
-                          ~sanitize ~repro_dir:(repro_dir_of_run run) ~agent
-                          ~actions ~target:tgt suite.W.Suites.programs
+                        C.Evaluate.evaluate_programs ?pool ~sanitize
+                          ~repro_dir:(repro_dir_of_run run) ~agent ~actions
+                          ~target:tgt suite.W.Suites.programs
                       in
                       ( C.Evaluate.summarize_suite
                           ~suite:suite.W.Suites.suite_name results,
@@ -661,51 +650,66 @@ let eval_cmd =
            Obs.Json.Float (Posetrl_support.Stats.mean avg_reds)) ]))
   in
   Cmd.v (Cmd.info "eval" ~doc:"Evaluate a trained model on the validation suites")
-    Term.(const go $ weights $ space $ target $ jobs_arg $ verify_each_arg
-          $ sanitize_arg $ trace_arg $ metrics_arg $ run_dir_arg $ run_name_arg
-          $ serve_arg $ serve_grace_arg)
+    Term.(const go $ weights $ space $ target $ jobs_arg $ sanitize_arg
+          $ trace_arg $ metrics_arg $ run_dir_arg $ run_name_arg $ serve_arg
+          $ serve_grace_arg)
 
 (* --- report ------------------------------------------------------------------ *)
+
+(* The one trace-report body behind `report FILE` and `runs profile RUN`:
+   read the trace (a torn tail is skipped, not fatal), fold it into a
+   profile, print the hotspot, per-pass and per-action tables, then do
+   the optional exports. *)
+let print_trace_report ~title ~top ?chrome ?folded (path : string) : unit =
+  let events, dropped = Obs.Prof.read_trace path in
+  let prof = Obs.Prof.of_events events in
+  print_string (Obs.Prof.render ~top ~title prof);
+  List.iter
+    (fun tbl -> if tbl <> "" then print_string ("\n" ^ tbl))
+    [ Obs.Prof.render_passes prof; Obs.Prof.render_actions prof ];
+  if dropped > 0 then
+    Printf.printf "(%d torn trace line%s skipped)\n" dropped
+      (if dropped = 1 then "" else "s");
+  Option.iter
+    (fun out ->
+      Obs.Prof.write_folded ~path:out prof;
+      Printf.printf "folded stacks written to %s\n" out)
+    folded;
+  Option.iter
+    (fun out ->
+      Obs.Chrome.write ~path:out events;
+      Printf.printf "chrome trace written to %s (%d events)\n" out
+        (List.length events))
+    chrome
+
+let trace_folded_arg =
+  Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"OUT.folded"
+         ~doc:"Also export the trace as folded stacks (self-time in µs) for \
+               flamegraph.pl / inferno / speedscope.")
 
 let report_cmd =
   let file =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.jsonl"
            ~doc:"Trace file written by --trace.")
   in
-  let top_k =
+  let top =
     Arg.(value & opt int 20 & info [ "top" ] ~docv:"K"
-           ~doc:"Rows in the span-summary table.")
+           ~doc:"Rows in the hotspot table.")
   in
   let chrome =
     Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"OUT.json"
            ~doc:"Also export the trace as Chrome trace-event JSON — load it \
                  in ui.perfetto.dev or chrome://tracing for a flamegraph view.")
   in
-  let folded =
-    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"OUT.folded"
-           ~doc:"Also export the trace as folded stacks (self-time in µs) for \
-                 flamegraph.pl / inferno / speedscope.")
-  in
-  let go file top_k chrome folded =
-    let events = Obs.Report.read_jsonl file in
-    (match chrome with
-     | Some out ->
-       Obs.Chrome.write ~path:out events;
-       Printf.printf "chrome trace written to %s (%d events)\n" out
-         (List.length events)
-     | None -> ());
-    (match folded with
-     | Some out ->
-       Obs.Prof.write_folded ~path:out (Obs.Prof.of_events events);
-       Printf.printf "folded stacks written to %s (%d events)\n" out
-         (List.length events)
-     | None -> ());
-    print_string (Obs.Report.render ~top_k events)
+  let go file top chrome folded =
+    print_trace_report ~title:(Printf.sprintf "hotspots (%s)" file) ~top
+      ?chrome ?folded file
   in
   Cmd.v
     (Cmd.info "report"
-       ~doc:"Aggregate a span trace into per-span, per-pass and per-action tables")
-    Term.(const go $ file $ top_k $ chrome $ folded)
+       ~doc:"Aggregate a span trace into hotspot, per-pass and per-action \
+             tables")
+    Term.(const go $ file $ top $ chrome $ trace_folded_arg)
 
 (* --- profile ----------------------------------------------------------------- *)
 
@@ -1166,32 +1170,22 @@ let runs_profile_cmd =
     Arg.(value & opt int 15 & info [ "top" ] ~docv:"K"
            ~doc:"Rows in the hotspot table.")
   in
-  let folded =
-    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"OUT.folded"
-           ~doc:"Also write folded stacks (flamegraph.pl format) to \\$(docv).")
-  in
   let go root id top folded =
     let info = Obs.Run.find ~root id in
     let trace = Obs.Run.trace_path info.Obs.Run.run_dir in
     if not (Sys.file_exists trace) then
       failwith
         (Printf.sprintf "run %s has no trace.jsonl" info.Obs.Run.run_id);
-    let prof = Obs.Prof.of_events (Obs.Report.read_jsonl trace) in
-    print_string
-      (Obs.Prof.render ~top
-         ~title:(Printf.sprintf "hotspots (%s)" info.Obs.Run.run_id)
-         prof);
-    match folded with
-    | Some out ->
-      Obs.Prof.write_folded ~path:out prof;
-      Printf.printf "folded stacks written to %s\n" out
-    | None -> ()
+    print_trace_report
+      ~title:(Printf.sprintf "hotspots (%s)" info.Obs.Run.run_id)
+      ~top ?folded trace
   in
   Cmd.v
     (Cmd.info "profile"
-       ~doc:"Rebuild a hotspot profile (and optionally folded stacks) from a \
-             persisted run's trace.jsonl")
-    Term.(const go $ root_arg $ id $ top $ folded)
+       ~doc:"Rebuild the hotspot, per-pass and per-action tables (and \
+             optionally folded stacks) from a persisted run's trace.jsonl; a \
+             torn last line is skipped and counted")
+    Term.(const go $ root_arg $ id $ top $ trace_folded_arg)
 
 let runs_cmd =
   Cmd.group
@@ -1390,7 +1384,7 @@ let explain_cmd =
                   "        pos %-2d action %-3d r %8.3f  (binsize %8.3f  \
                    throughput %8.3f)\n"
                   p a sr rb rt)
-              (Attrib.episode_steps r)
+              (Obs.Runlog.episode_steps r)
           end)
         scored
     end;

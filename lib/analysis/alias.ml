@@ -11,8 +11,8 @@
    Two pointers may alias when their pointee sets overlap; [LUnknown]
    overlaps everything *except* allocas whose address never escapes the
    function — nobody outside can hold a pointer to an address that was
-   never stored, passed, returned or cast away. This is what lets the
-   alias-aware dse/licm/gvn paths reason about loads and calls without a
+   never stored, passed, returned or cast away. This is what lets lint's
+   may-alias-store-conflict rule reason about loads and calls without a
    whole-program heap model.
 
    All state lives in the returned values — nothing global — so analyses

@@ -25,25 +25,15 @@ type finfo
 
 val of_func : Func.t -> finfo
 
-(* Locations [v] may point to; pointers the analysis cannot resolve get
-   the unknown location. *)
-val pts : finfo -> Value.t -> LSet.t
-
 val is_escaped : finfo -> int -> bool
 
 (* Allocas whose address never escapes the function. *)
 val private_allocas : finfo -> ISet.t
 
-(* May the two locations denote overlapping memory? [LUnknown] overlaps
-   everything except non-escaping allocas. *)
-val locs_overlap : finfo -> loc -> loc -> bool
-
-(* May the two pointer values reference overlapping memory?
-   Syntactically equal values always may-alias. *)
+(* May the two pointer values reference overlapping memory? [LUnknown]
+   overlaps everything except non-escaping allocas; syntactically equal
+   values always may-alias. *)
 val may_alias : finfo -> Value.t -> Value.t -> bool
-
-(* Every location in [s] is a non-escaping alloca. *)
-val all_private : finfo -> LSet.t -> bool
 
 (* Could a call (to any function) read or write the memory [p] points
    to? False exactly when everything [p] may reference is private. *)

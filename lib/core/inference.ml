@@ -10,12 +10,12 @@ type rollout = {
   optimized : Modul.t;
 }
 
-let predict ?(max_steps = Environment.default_max_steps) ?(verify = false)
+let predict ?(max_steps = Environment.default_max_steps)
     ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir
     ~(agent : Rl.Dqn.t) ~(actions : Posetrl_odg.Action_space.t)
     ~(target : Posetrl_codegen.Target.t) (m : Modul.t) : rollout =
   let env =
-    Environment.create ~max_steps ~verify ~sanitize ?repro_dir ~target ~actions ()
+    Environment.create ~max_steps ~sanitize ?repro_dir ~target ~actions ()
   in
   let state = ref (Environment.reset env m) in
   let taken = ref [] in

@@ -7,7 +7,6 @@ type rollout = {
 
 val predict :
   ?max_steps:int ->
-  ?verify:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   agent:Posetrl_rl.Dqn.t ->

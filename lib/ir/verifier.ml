@@ -217,13 +217,10 @@ let verify_module ?(dom = false) (m : Modul.t) : error list =
   in
   dup_names @ List.concat_map (verify_func ~dom m) m.Modul.funcs
 
-(* Raise on invalid IR; used in tests and by the pass manager's debug mode. *)
-exception Invalid of string
-
+(* Fail on invalid IR; used by hand-built modules in tests and examples. *)
 let check ?(dom = false) m =
   match verify_module ~dom m with
   | [] -> ()
-  | errs ->
-    raise (Invalid (String.concat "\n" (List.map error_to_string errs)))
+  | errs -> failwith (String.concat "\n" (List.map error_to_string errs))
 
 let is_valid ?(dom = false) m = verify_module ~dom m = []

@@ -80,7 +80,7 @@ let of_json (j : Json.t) : t =
        | Some v -> int_of_float (number_to_float v)
        | None -> 0) }
 
-(* attr accessors used by the report aggregator *)
+(* attr accessors used by the trace aggregator ([Prof]) *)
 
 let attr (e : t) (key : string) : value option = List.assoc_opt key e.attrs
 

@@ -7,7 +7,9 @@
      self-time, p50/p99 of per-event self) and renders a ranked hotspot
      table. Self-time is computed online by the span layer (dur minus
      direct children), so the collector never reconstructs the tree for
-     the table.
+     the table. The same pass also keeps the per-pass (events with a
+     [pass] attribute) and per-action ([posetrl.env.step]) tables that
+     [posetrl report] prints.
 
    - Folded-stack export: the same stream reconstructed into
      flamegraph.pl-compatible "frame;frame;frame <µs>" lines. Events
@@ -74,8 +76,30 @@ type agg = {
   a_samples : buf;                      (* per-event self times *)
 }
 
+(* per-pass rows (events carrying a "pass" attribute) and per-action
+   rows (posetrl.env.step events keyed by their "action" attribute),
+   updated in place; the .mli exports them read-only *)
+type pass_row = {
+  pr_pass : string;
+  mutable pr_runs : int;
+  mutable pr_total : float;
+  mutable pr_self : float;
+  mutable pr_d_insns : int;
+}
+
+type action_row = {
+  ar_action : int;
+  mutable ar_passes : string;           (* first non-empty "passes" attr *)
+  mutable ar_steps : int;
+  mutable ar_total : float;
+  mutable ar_d_size : float;
+  mutable ar_reward_sum : float;
+}
+
 type t = {
   by_name : (string, agg) Hashtbl.t;
+  by_pass : (string, pass_row) Hashtbl.t;
+  by_action : (int, action_row) Hashtbl.t;
   (* folded-stack reconstruction: tid -> depth -> (frames -> Σ self),
      where frames are root-first paths below (and including) that
      depth. Aggregating by path at insert keeps the collector's memory
@@ -87,22 +111,53 @@ type t = {
 
 let create () =
   { by_name = Hashtbl.create 64;
+    by_pass = Hashtbl.create 64;
+    by_action = Hashtbl.create 64;
     pending = Hashtbl.create 4;
     rng = Random.State.make [| 0x9e3779b9 |];
     n_events = 0 }
 
+let find_or_add (tbl : ('k, 'v) Hashtbl.t) (key : 'k) (mk : unit -> 'v) : 'v =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = mk () in
+    Hashtbl.add tbl key v;
+    v
+
+let add_pass_row (t : t) (e : Event.t) (pass : string) =
+  let p =
+    find_or_add t.by_pass pass (fun () ->
+        { pr_pass = pass; pr_runs = 0; pr_total = 0.0; pr_self = 0.0;
+          pr_d_insns = 0 })
+  in
+  p.pr_runs <- p.pr_runs + 1;
+  p.pr_total <- p.pr_total +. e.Event.dur;
+  p.pr_self <- p.pr_self +. e.Event.self;
+  p.pr_d_insns <-
+    p.pr_d_insns + Option.value ~default:0 (Event.attr_int e "d_insns")
+
+let add_action_row (t : t) (e : Event.t) (action : int) =
+  let a =
+    find_or_add t.by_action action (fun () ->
+        { ar_action = action; ar_passes = ""; ar_steps = 0; ar_total = 0.0;
+          ar_d_size = 0.0; ar_reward_sum = 0.0 })
+  in
+  if a.ar_passes = "" then
+    a.ar_passes <- Option.value ~default:"" (Event.attr_string e "passes");
+  a.ar_steps <- a.ar_steps + 1;
+  a.ar_total <- a.ar_total +. e.Event.dur;
+  a.ar_d_size <-
+    a.ar_d_size +. Option.value ~default:0.0 (Event.attr_float e "d_size");
+  a.ar_reward_sum <-
+    a.ar_reward_sum +. Option.value ~default:0.0 (Event.attr_float e "reward")
+
 let add (t : t) (e : Event.t) =
   t.n_events <- t.n_events + 1;
   let a =
-    match Hashtbl.find_opt t.by_name e.Event.name with
-    | Some a -> a
-    | None ->
-      let a =
+    find_or_add t.by_name e.Event.name (fun () ->
         { a_count = 0; a_total = 0.0; a_self = 0.0; a_alloc = 0.0;
-          a_samples = buf_create () }
-      in
-      Hashtbl.add t.by_name e.Event.name a;
-      a
+          a_samples = buf_create () })
   in
   a.a_count <- a.a_count + 1;
   a.a_total <- a.a_total +. e.Event.dur;
@@ -111,23 +166,12 @@ let add (t : t) (e : Event.t) =
    | Some b -> a.a_alloc <- a.a_alloc +. b
    | None -> ());
   buf_push t.rng a.a_samples a.a_count e.Event.self;
+  Option.iter (add_pass_row t e) (Event.attr_string e "pass");
+  if e.Event.name = "posetrl.env.step" then
+    Option.iter (add_action_row t e) (Event.attr_int e "action");
   (* fold the event into the per-tid stack reconstruction *)
-  let per =
-    match Hashtbl.find_opt t.pending e.Event.tid with
-    | Some h -> h
-    | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.add t.pending e.Event.tid h;
-      h
-  in
-  let mine =
-    match Hashtbl.find_opt per e.Event.depth with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 16 in
-      Hashtbl.add per e.Event.depth tbl;
-      tbl
-  in
+  let per = find_or_add t.pending e.Event.tid (fun () -> Hashtbl.create 8) in
+  let mine = find_or_add per e.Event.depth (fun () -> Hashtbl.create 16) in
   let bump frames v =
     let prev =
       match Hashtbl.find_opt mine frames with Some x -> x | None -> 0.0
@@ -148,6 +192,21 @@ let of_events (events : Event.t list) : t =
   let t = create () in
   List.iter (add t) events;
   t
+
+(* A line torn by a killed writer fails to parse as JSON; a line that
+   parses but is not an event (wrong shape) is dropped the same way. *)
+let read_trace (path : string) : Event.t list * int =
+  let records, torn = Runlog.read_jsonl path in
+  let dropped = ref torn in
+  let events =
+    List.filter_map
+      (fun j ->
+        match Event.of_json j with
+        | e -> Some e
+        | exception Invalid_argument _ -> incr dropped; None)
+      records
+  in
+  (events, !dropped)
 
 (* --- ranked hotspot entries ---------------------------------------------- *)
 
@@ -188,6 +247,21 @@ let hotspots (t : t) : entry list =
 
 let self_of (t : t) (name : string) : float =
   match Hashtbl.find_opt t.by_name name with Some a -> a.a_self | None -> 0.0
+
+(* ranked by total time descending, key-ordered tie break *)
+let by_total_desc total key a b =
+  match compare (total b) (total a) with 0 -> compare (key a) (key b) | c -> c
+
+let passes (t : t) : pass_row list =
+  Hashtbl.fold (fun _ r acc -> r :: acc) t.by_pass []
+  |> List.sort (by_total_desc (fun r -> r.pr_total) (fun r -> r.pr_pass))
+
+let actions (t : t) : action_row list =
+  Hashtbl.fold (fun _ r acc -> r :: acc) t.by_action []
+  |> List.sort (by_total_desc (fun r -> r.ar_total) (fun r -> r.ar_action))
+
+let mean_reward (r : action_row) : float =
+  r.ar_reward_sum /. float_of_int (max 1 r.ar_steps)
 
 (* --- rendering ----------------------------------------------------------- *)
 
@@ -232,6 +306,50 @@ let render ?(top = 15) ?(title = "hotspots") (t : t) : string =
       (ms total)
       (let a = total_alloc t in
        if a > 0.0 then Printf.sprintf ", self-alloc %s MB" (mb a) else "")
+
+(* per-pass and per-action tables; empty string when the trace has no
+   such events (e.g. a serve trace has no env steps) *)
+let render_passes (t : t) : string =
+  match passes t with
+  | [] -> ""
+  | rows ->
+    let tbl =
+      Table.create ~title:"per-pass time and size delta"
+        ~headers:[ "pass"; "runs"; "total ms"; "self ms"; "sum d_insns" ]
+        ~aligns:
+          [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
+        ()
+    in
+    List.iter
+      (fun r ->
+        Table.add_row tbl
+          [ r.pr_pass; string_of_int r.pr_runs; ms r.pr_total; ms r.pr_self;
+            string_of_int r.pr_d_insns ])
+      rows;
+    Table.render tbl
+
+let render_actions (t : t) : string =
+  match actions t with
+  | [] -> ""
+  | rows ->
+    let tbl =
+      Table.create ~title:"per-action (env.step) time, size delta, reward"
+        ~headers:
+          [ "action"; "sub-sequence"; "steps"; "total ms"; "sum d_size B";
+            "mean reward" ]
+        ~aligns:
+          [ Table.Right; Table.Left; Table.Right; Table.Right; Table.Right;
+            Table.Right ]
+        ()
+    in
+    List.iter
+      (fun r ->
+        Table.add_row tbl
+          [ string_of_int r.ar_action; r.ar_passes; string_of_int r.ar_steps;
+            ms r.ar_total; Printf.sprintf "%.0f" r.ar_d_size;
+            Printf.sprintf "%.3f" (mean_reward r) ])
+      rows;
+    Table.render tbl
 
 (* jobs-1 vs jobs-N comparison over the union of both runs' top spans *)
 let render_compare ?(top = 10) ~(jobs : int) (seq : t) (par : t) : string =

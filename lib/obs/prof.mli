@@ -22,8 +22,15 @@ val sink : t -> Sink.t
 (** A span sink feeding the collector; [close] is a no-op. *)
 
 val of_events : Event.t list -> t
-(** Fold an event list (e.g. [Report.read_jsonl] output) into a fresh
+(** Fold an event list (e.g. {!read_trace} output) into a fresh
     collector. *)
+
+val read_trace : string -> Event.t list * int
+(** Read a JSONL span trace (written by {!Sink.jsonl}); blank lines are
+    skipped. A line that does not parse — typically the last one, torn
+    by a killed process — or that parses as JSON but not as an event is
+    dropped; the second component counts the dropped lines.
+    @raise Sys_error if the file cannot be opened. *)
 
 val collect : ?alloc:bool -> (unit -> 'a) -> 'a * t
 (** Run a workload with a collector sink installed and return its result
@@ -60,6 +67,40 @@ val render_compare : ?top:int -> jobs:int -> t -> t -> string
 (** [render_compare ~jobs seq par] tables per-span self-time of a jobs-1
     run against a jobs-[jobs] run over the union of both runs' top
     spans, plus a totals row. *)
+
+(** {1 Per-pass and per-action tables} *)
+
+type pass_row = private {
+  pr_pass : string;
+  mutable pr_runs : int;
+  mutable pr_total : float;    (** Σ dur, seconds *)
+  mutable pr_self : float;     (** Σ self, seconds *)
+  mutable pr_d_insns : int;    (** Σ instruction-count delta (size proxy) *)
+}
+
+val passes : t -> pass_row list
+(** Events carrying a ["pass"] attribute, grouped by pass name and
+    ranked by total time descending (name-ordered tie break). *)
+
+type action_row = private {
+  ar_action : int;
+  mutable ar_passes : string;  (** the action's sub-sequence *)
+  mutable ar_steps : int;
+  mutable ar_total : float;    (** Σ dur, seconds *)
+  mutable ar_d_size : float;   (** Σ object-size delta, bytes *)
+  mutable ar_reward_sum : float;
+}
+
+val actions : t -> action_row list
+(** [posetrl.env.step] events grouped by their ["action"] attribute,
+    ranked by total time descending (action-ordered tie break). *)
+
+val mean_reward : action_row -> float
+(** Σ reward / steps. *)
+
+val render_passes : t -> string
+val render_actions : t -> string
+(** The per-pass / per-action tables; [""] when there are no rows. *)
 
 (** {1 Folded-stack export} *)
 

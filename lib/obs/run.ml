@@ -225,29 +225,18 @@ let read_eval (i : info) : Json.t option =
    file is torn or corrupt both render as "no data", never an
    exception — `posetrl explain` and `watch` must work on any ledger. *)
 
-let read_attrib (i : info) : Json.t option =
-  let path = attrib_path i.run_dir in
+(* A ledger document that may be absent (older run, other kind) or
+   corrupt; both read as [None], never an exception. *)
+let read_doc (path : string) : Json.t option =
   if not (Sys.file_exists path) then None
   else
     match Runlog.read_json_file path with
     | doc -> Some doc
     | exception (Sys_error _ | Json.Parse_error _) -> None
 
-let read_coverage (i : info) : Json.t option =
-  let path = coverage_path i.run_dir in
-  if not (Sys.file_exists path) then None
-  else
-    match Runlog.read_json_file path with
-    | doc -> Some doc
-    | exception (Sys_error _ | Json.Parse_error _) -> None
-
-let read_serve (i : info) : Json.t option =
-  let path = serve_path i.run_dir in
-  if not (Sys.file_exists path) then None
-  else
-    match Runlog.read_json_file path with
-    | doc -> Some doc
-    | exception (Sys_error _ | Json.Parse_error _) -> None
+let read_attrib (i : info) = read_doc (attrib_path i.run_dir)
+let read_coverage (i : info) = read_doc (coverage_path i.run_dir)
+let read_serve (i : info) = read_doc (serve_path i.run_dir)
 
 let read_alerts (i : info) : (Json.t list * int) option =
   let path = alerts_path i.run_dir in

@@ -60,6 +60,12 @@ val episode_record :
     have no such field); floats print as %.17g, so attribution
     recomputed from the ledger is float-exact. *)
 
+val episode_steps : Json.t -> (int * float * float * float) list
+(** The reader paired with {!episode_record}:
+    [(action, reward, r_binsize, r_throughput)] per step of one
+    ["episode"] record, in order; [[]] for records without the step
+    stream (pre-health ledgers). *)
+
 val series :
   kind:string -> x:string -> y:string -> Json.t list -> (float * float) list
 (** [(x, y)] pairs from records of one kind, skipping records missing

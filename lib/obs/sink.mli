@@ -1,8 +1,8 @@
 (** Span-event sinks: where completed spans go.
 
     Three built-ins — an in-memory ring buffer (tests), a JSONL writer
-    (offline analysis via [Report]), and a human-readable console
-    printer. Sinks are installed into the span layer with
+    (offline analysis via {!Prof.read_trace}), and a human-readable
+    console printer. Sinks are installed into the span layer with
     {!Span.install} / {!Span.with_sink}. *)
 
 type t = {

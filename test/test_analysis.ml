@@ -528,29 +528,6 @@ let test_alias_modref () =
   Alcotest.(check bool) "unknown function gets the top summary" true
     (A.Alias.modref_equal (A.Alias.modref_of t "no_such_fn") A.Alias.modref_top)
 
-(* Alias-aware dse/licm/gvn are opt-in and must be byte-identical to the
-   legacy fact providers on real programs (sampled here; the full
-   suites-times-levels sweep runs in CI via `posetrl validate`). *)
-let test_alias_pipelines_byte_identical () =
-  let progs =
-    List.filteri (fun i _ -> i < 6) (W.Suites.all_programs ())
-  in
-  List.iter
-    (fun level ->
-      let cfg = P.Pipelines.config_of level in
-      let seq = P.Pipelines.sequence_of level in
-      let acfg = { cfg with P.Config.use_alias = true } in
-      List.iter
-        (fun (name, m) ->
-          let legacy = Printer.module_to_string (P.Pass_manager.run cfg seq m) in
-          let aliased = Printer.module_to_string (P.Pass_manager.run acfg seq m) in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s at %s: alias-aware = legacy" name
-               (P.Pipelines.level_to_string level))
-            true (String.equal legacy aliased))
-        progs)
-    [ P.Pipelines.O2; P.Pipelines.Oz ]
-
 (* --- abstract interpretation ---------------------------------------------- *)
 
 (* constant condition: the else arm is provably dead *)
@@ -756,8 +733,6 @@ let suite =
       test_solver_rejects_non_monotone;
     Alcotest.test_case "alias: points-to facts on allocas" `Quick test_alias_facts;
     Alcotest.test_case "alias: mod/ref summaries" `Quick test_alias_modref;
-    Alcotest.test_case "alias-aware pipelines byte-identical (sampled)" `Slow
-      test_alias_pipelines_byte_identical;
     Alcotest.test_case "absint: constant branch folds to a singleton" `Quick
       test_absint_constant_branch;
     Alcotest.test_case "lint: range rules fire on a constant branch" `Quick

@@ -212,7 +212,8 @@ let test_jsonl_roundtrip () =
                     emit_fixture advance));
             events ())
       in
-      let parsed = Obs.Report.read_jsonl path in
+      let parsed, dropped = Obs.Prof.read_trace path in
+      Alcotest.(check int) "nothing dropped" 0 dropped;
       Alcotest.(check int) "event count" (List.length golden) (List.length parsed);
       (* byte-exact structural round trip against the in-memory golden *)
       Alcotest.(check bool) "events round-trip" true (parsed = golden))
@@ -224,52 +225,63 @@ let test_report_aggregation () =
     (fun () ->
       Obs.Clock.with_fake (fun advance ->
           Span.with_sink (Obs.Sink.jsonl path) (fun () -> emit_fixture advance));
-      let events = Obs.Report.read_jsonl path in
-      (* span table: env.step cum = 3 * 1.5, self = 3 * 0.5 *)
-      (match Obs.Report.spans events with
-       | [ step; pass ] ->
-         Alcotest.(check string) "top span" "posetrl.env.step" step.Obs.Report.sr_name;
-         Alcotest.(check int) "step count" 3 step.Obs.Report.sr_count;
-         check_float "step cum" 4.5 step.Obs.Report.sr_cum;
-         check_float "step self" 1.5 step.Obs.Report.sr_self;
-         check_float "pass cum" 3.0 pass.Obs.Report.sr_cum
-       | rows -> Alcotest.failf "expected 2 span rows, got %d" (List.length rows));
+      let events, _ = Obs.Prof.read_trace path in
+      let prof = Obs.Prof.of_events events in
+      (* hotspots: env.step total = 3 * 1.5, self = 3 * 0.5 *)
+      let hot = Obs.Prof.hotspots prof in
+      Alcotest.(check int) "two span names" 2 (List.length hot);
+      let entry name =
+        List.find (fun e -> e.Obs.Prof.e_name = name) hot
+      in
+      let step = entry "posetrl.env.step" and pass = entry "posetrl.pass.run" in
+      Alcotest.(check int) "step count" 3 step.Obs.Prof.e_count;
+      check_float "step total" 4.5 step.Obs.Prof.e_total;
+      check_float "step self" 1.5 step.Obs.Prof.e_self;
+      check_float "pass total" 3.0 pass.Obs.Prof.e_total;
       (* pass table groups by pass attr and sums insn deltas *)
-      (match Obs.Report.passes events with
+      (match Obs.Prof.passes prof with
        | [ scfg; licm ] ->
-         Alcotest.(check string) "pass" "simplifycfg" scfg.Obs.Report.pr_pass;
-         Alcotest.(check int) "runs" 2 scfg.Obs.Report.pr_count;
-         Alcotest.(check int) "d_insns summed" 6 scfg.Obs.Report.pr_d_insns;
-         Alcotest.(check int) "licm d_insns" (-1) licm.Obs.Report.pr_d_insns
+         Alcotest.(check string) "pass" "simplifycfg" scfg.Obs.Prof.pr_pass;
+         Alcotest.(check int) "runs" 2 scfg.Obs.Prof.pr_runs;
+         Alcotest.(check int) "d_insns summed" 6 scfg.Obs.Prof.pr_d_insns;
+         Alcotest.(check int) "licm d_insns" (-1) licm.Obs.Prof.pr_d_insns
        | rows -> Alcotest.failf "expected 2 pass rows, got %d" (List.length rows));
       (* action table groups env.step by action index *)
-      (match Obs.Report.actions events with
+      (match Obs.Prof.actions prof with
        | [ a3; a7 ] ->
-         Alcotest.(check int) "action" 3 a3.Obs.Report.ar_action;
-         Alcotest.(check int) "steps" 2 a3.Obs.Report.ar_count;
-         check_float "d_size summed" 48.0 a3.Obs.Report.ar_d_size;
-         check_float "mean reward" 1.0 a3.Obs.Report.ar_mean_reward;
-         check_float "negative delta" (-8.0) a7.Obs.Report.ar_d_size
+         Alcotest.(check int) "action" 3 a3.Obs.Prof.ar_action;
+         Alcotest.(check string) "sub-sequence" "simplifycfg"
+           a3.Obs.Prof.ar_passes;
+         Alcotest.(check int) "steps" 2 a3.Obs.Prof.ar_steps;
+         check_float "d_size summed" 48.0 a3.Obs.Prof.ar_d_size;
+         check_float "mean reward" 1.0 (Obs.Prof.mean_reward a3);
+         check_float "negative delta" (-8.0) a7.Obs.Prof.ar_d_size
        | rows -> Alcotest.failf "expected 2 action rows, got %d" (List.length rows));
-      (* the rendered report carries all three tables with the fixture's
-         span/pass/action rows *)
-      let rendered = Obs.Report.render events in
+      (* the rendered tables carry the fixture's span/pass/action rows *)
+      let rendered =
+        Obs.Prof.render prof ^ Obs.Prof.render_passes prof
+        ^ Obs.Prof.render_actions prof
+      in
       let contains needle =
         let nl = String.length needle and hl = String.length rendered in
         let rec go i = i + nl <= hl && (String.sub rendered i nl = needle || go (i + 1)) in
         Alcotest.(check bool) (Printf.sprintf "render mentions %S" needle) true (go 0)
       in
       List.iter contains
-        [ "span summary"; "per-pass cumulative time"; "per-action";
+        [ "hotspots"; "per-pass time"; "per-action";
           "posetrl.env.step"; "posetrl.pass.run"; "simplifycfg"; "licm" ])
 
 let test_report_render_empty () =
   (* an empty trace still renders (headers only), and the aggregators
      agree it holds nothing *)
-  Alcotest.(check int) "no spans" 0 (List.length (Obs.Report.spans []));
-  Alcotest.(check int) "no actions" 0 (List.length (Obs.Report.actions []));
+  let prof = Obs.Prof.of_events [] in
+  Alcotest.(check int) "no spans" 0 (List.length (Obs.Prof.hotspots prof));
+  Alcotest.(check int) "no passes" 0 (List.length (Obs.Prof.passes prof));
+  Alcotest.(check int) "no actions" 0 (List.length (Obs.Prof.actions prof));
   Alcotest.(check bool) "render total on empty" true
-    (String.length (Obs.Report.render []) > 0)
+    (String.length (Obs.Prof.render prof) > 0);
+  Alcotest.(check string) "no pass table" "" (Obs.Prof.render_passes prof);
+  Alcotest.(check string) "no action table" "" (Obs.Prof.render_actions prof)
 
 let test_json_values () =
   (* attr value kinds survive the JSON round trip exactly *)

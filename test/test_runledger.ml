@@ -443,9 +443,65 @@ let test_sink_append () =
       let s3 = Obs.Sink.jsonl path in
       s3.Obs.Sink.emit (mk_event "third");
       s3.Obs.Sink.close ();
-      let events = Obs.Report.read_jsonl path in
+      let events, _ = Obs.Prof.read_trace path in
       Alcotest.(check (list string)) "truncate is still the default" [ "third" ]
         (List.map (fun e -> e.Obs.Event.name) events))
+
+(* a kill mid-write tears the trace's last line: the reader keeps the
+   intact prefix and counts the torn line, so `runs profile` and
+   `report` still open the ledger *)
+let test_trace_torn_tail () =
+  with_temp_dir (fun dir ->
+      let path = Run.trace_path dir in
+      let sink = Obs.Sink.jsonl path in
+      List.iter (fun n -> sink.Obs.Sink.emit (mk_event n)) [ "a"; "b"; "c" ];
+      sink.Obs.Sink.close ();
+      Unix.truncate path ((Unix.stat path).Unix.st_size - 15);
+      let events, dropped = Obs.Prof.read_trace path in
+      Alcotest.(check (list string)) "intact prefix" [ "a"; "b" ]
+        (List.map (fun e -> e.Obs.Event.name) events);
+      Alcotest.(check int) "torn line counted" 1 dropped;
+      let prof = Obs.Prof.of_events events in
+      Alcotest.(check int) "profile holds the prefix" 2 (Obs.Prof.events prof))
+
+(* a line that is JSON but not a span event is dropped like a torn one *)
+let test_trace_non_event_line () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "trace.jsonl" in
+      let sink = Obs.Sink.jsonl path in
+      sink.Obs.Sink.emit (mk_event "a");
+      sink.Obs.Sink.close ();
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc "{\"kind\":\"tick\"}\n";
+      close_out oc;
+      let sink = Obs.Sink.jsonl ~append:true path in
+      sink.Obs.Sink.emit (mk_event "b");
+      sink.Obs.Sink.close ();
+      let events, dropped = Obs.Prof.read_trace path in
+      Alcotest.(check (list string)) "events around it kept" [ "a"; "b" ]
+        (List.map (fun e -> e.Obs.Event.name) events);
+      Alcotest.(check int) "non-event line counted" 1 dropped)
+
+(* episode_steps reads back exactly what episode_record wrote *)
+let test_episode_steps_roundtrip () =
+  let record =
+    Runlog.episode_record ~actions:[ 4; 0; 9 ]
+      ~step_rewards:[ (1.5, 2.0, -0.5); (0.0, 0.0, 0.0); (-0.25, 0.1, 0.2) ]
+      ~episode:3 ~step:30 ~reward:1.25 ~r_binsize:2.1 ~r_throughput:(-0.3)
+      ~size_gain_pct:1.0 ~thru_gain_pct:0.0 ~epsilon:0.5 ~loss:0.1 ()
+  in
+  let back = Runlog.episode_steps (Json.of_string (Json.to_string record)) in
+  Alcotest.(check int) "three steps" 3 (List.length back);
+  Alcotest.(check bool) "float-exact round trip" true
+    (back = [ (4, 1.5, 2.0, -0.5); (0, 0.0, 0.0, 0.0); (9, -0.25, 0.1, 0.2) ]);
+  (* pre-health records carry no step stream *)
+  let bare =
+    Runlog.episode_record ~actions:[ 4 ] ~episode:0 ~step:1 ~reward:0.0
+      ~r_binsize:0.0 ~r_throughput:0.0 ~size_gain_pct:0.0 ~thru_gain_pct:0.0
+      ~epsilon:1.0 ~loss:0.0 ()
+  in
+  Alcotest.(check int) "no steps field" 0
+    (List.length (Runlog.episode_steps bare))
 
 let suite =
   [ Alcotest.test_case "sparkline" `Quick test_sparkline;
@@ -481,4 +537,9 @@ let suite =
     Alcotest.test_case "compare missing metrics" `Quick
       test_compare_missing_never_regresses;
     Alcotest.test_case "sink flush_every" `Quick test_sink_flush_every;
-    Alcotest.test_case "sink append flag" `Quick test_sink_append ]
+    Alcotest.test_case "sink append flag" `Quick test_sink_append;
+    Alcotest.test_case "torn trace tail skipped" `Quick test_trace_torn_tail;
+    Alcotest.test_case "non-event trace line skipped" `Quick
+      test_trace_non_event_line;
+    Alcotest.test_case "episode_steps round trip" `Quick
+      test_episode_steps_roundtrip ]

@@ -2,6 +2,7 @@
 
 open Posetrl_ir
 module P = Posetrl_passes
+module Sanitize = Posetrl_analysis.Sanitize
 
 (* sum of i*i for i in [0,10) computed through memory, with a call *)
 let sum_squares_module () : Modul.t =
@@ -40,10 +41,12 @@ let wrap_main (build : Builder.t -> unit) : Modul.t =
   Modul.mk ~name:"test" [ Builder.finish b ]
 
 let run_pass (name : string) (m : Modul.t) : Modul.t =
-  P.Pass.run ~verify:true (P.Registry.find_exn name) P.Config.oz m
+  P.Pass_manager.run_pass ~sanitize:Sanitize.Structural
+    (P.Registry.find_exn name) P.Config.oz m
 
 let run_pass_cfg (name : string) (cfg : P.Config.t) (m : Modul.t) : Modul.t =
-  P.Pass.run ~verify:true (P.Registry.find_exn name) cfg m
+  P.Pass_manager.run_pass ~sanitize:Sanitize.Structural
+    (P.Registry.find_exn name) cfg m
 
 (* observable behaviour: Ok (return value string, stdout) or Error trap *)
 let observe (m : Modul.t) = Posetrl_interp.Interp.observe m
