@@ -47,14 +47,14 @@ GATE_TABLE = [
     },
     {
         "kind": "bench-health",
-        "gated": ("watchdog_tick_rel", "attrib_observe_rel"),
-        "why": "watchdog rule pass (per trainer tick) and streaming "
-               "attribution update (per env step)",
+        "gated": ("watchdog_tick_rel",),
+        "why": "watchdog rule pass (per trainer tick)",
     },
     {
         "kind": "bench-coverage",
         "gated": ("coverage_observe_rel",),
-        "why": "streaming decision-space coverage fold (per env step)",
+        "why": "streaming decision-space fold, coverage and reward "
+               "attribution (per env step)",
     },
     {
         "kind": "bench-serve",

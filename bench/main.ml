@@ -801,19 +801,19 @@ let prof_bench () =
   Printf.printf "  profiling bench baseline written to %s\n" path
 
 (* ======================================================================== *)
-(* training-health: per-tick watchdog cost + attribution-update cost          *)
+(* training-health: per-tick watchdog cost                                    *)
 (* ======================================================================== *)
 
-(* Benches the health layer's always-on costs and writes
-   BENCH_health.json for the bench-regression CI job. Two gated rows:
-   the full watchdog rule pass (runs once per 200-step trainer tick) and
-   the streaming attribution update (runs once per environment step).
-   Both are batched ×100 so the calibration-relative ratio sits well
-   above timer noise. The samples are healthy — the gate bounds the cost
-   of a quiet watchdog, the common case; alert formatting is rare and
-   off the hot path. *)
+(* Benches the health layer's always-on cost and writes
+   BENCH_health.json for the bench-regression CI job. One gated row:
+   the full watchdog rule pass (runs once per 200-step trainer tick),
+   batched ×100 so the calibration-relative ratio sits well above timer
+   noise. The samples are healthy — the gate bounds the cost of a quiet
+   watchdog, the common case; alert formatting is rare and off the hot
+   path. (The per-step attribution update is part of the coverage
+   fold and gated there.) *)
 let health_bench () =
-  section_header "Training-health overhead (watchdog tick + attribution update)";
+  section_header "Training-health overhead (watchdog tick)";
   let open Bechamel in
   let r = Obs.Metrics.create () in
   let watchdog = Obs.Health.create ~registry:r () in
@@ -829,7 +829,6 @@ let health_bench () =
       s_weights_finite = true;
       s_actions = Array.init 34 (fun i -> (i * 7) mod 13) }
   in
-  let attrib = Posetrl_rl.Attrib.create ~n_actions:34 ~max_pos:15 () in
   let step = ref 0 in
   let rows =
     bechamel_run
@@ -848,12 +847,6 @@ let health_bench () =
                   for _i = 1 to 100 do
                     incr step;
                     ignore (Obs.Health.check watchdog (healthy (!step * 200)))
-                  done));
-           Test.make ~name:"attrib-observe-100"
-             (Staged.stage (fun () ->
-                  for i = 1 to 100 do
-                    Posetrl_rl.Attrib.observe attrib ~action:(i mod 34) ~pos:(i mod 15)
-                      ~reward:0.25 ~r_binsize:0.1 ~r_throughput:0.03
                   done)) ])
   in
   print_bechamel_rows rows;
@@ -875,19 +868,17 @@ let health_bench () =
           Obs.Json.Obj
             [ ("calib_ns", Obs.Json.Float calib);
               ("watchdog_tick_rel",
-               Obs.Json.Float (rel (ns "watchdog-check-100")));
-              ("attrib_observe_rel",
-               Obs.Json.Float (rel (ns "attrib-observe-100"))) ]) ]);
+               Obs.Json.Float (rel (ns "watchdog-check-100"))) ]) ]);
   Printf.printf "  health bench baseline written to %s\n" path
 
 (* ======================================================================== *)
 (* coverage: per-step decision-space observe cost                            *)
 (* ======================================================================== *)
 
-(* Benches the coverage table's always-on cost and writes
+(* Benches the decision-space table's always-on cost and writes
    BENCH_coverage.json for the bench-regression CI job. One gated row:
-   the streaming [Coverage.observe] fold over the real ODG universe
-   (runs once per environment step, same cadence as attrib-observe),
+   the streaming [Coverage.observe] fold over the real ODG universe,
+   attribution cells included (runs once per environment step),
    batched ×100 like the other per-step rows. [observe_state] and
    [sample] are context rows — the sketch projection is a handful of
    dot products per step and the entropy sample runs once per 200-step
@@ -896,7 +887,9 @@ let coverage_bench () =
   section_header "Coverage overhead (per-step decision-space observe)";
   let open Bechamel in
   let universe = C.Trainer.coverage_universe O.Action_space.odg in
-  let cov = Obs.Coverage.create ~state_dim:C.Environment.state_dim universe in
+  let cov =
+    Obs.Coverage.create ~state_dim:C.Environment.state_dim ~max_pos:15 universe
+  in
   let n_actions = Array.length universe.Obs.Coverage.action_paths in
   let state =
     Array.init C.Environment.state_dim (fun i -> Float.sin (float_of_int i))

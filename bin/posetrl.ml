@@ -499,7 +499,10 @@ let train_cmd =
     in
     (* built here (not inside the trainer) so the live /coverage endpoint
        and the trainer fold the same table *)
-    let coverage = C.Trainer.make_coverage ~registry:Obs.Metrics.global actions in
+    let coverage =
+      C.Trainer.make_coverage ~registry:Obs.Metrics.global
+        ~max_pos:hp.C.Trainer.max_episode_steps actions
+    in
     with_serve ~alerts:(fun () -> List.rev !live_alerts)
       ~coverage:(fun () -> Some (Obs.Coverage.to_json coverage)) ~serve
       ~grace:serve_grace ~kind:"train"
@@ -516,16 +519,11 @@ let train_cmd =
                         ~corpus ~actions ~target:tgt ()))
             in
             Posetrl_rl.Dqn.save_weights res.C.Trainer.agent out;
-            let attrib_doc =
-              Posetrl_rl.Attrib.to_json
-                ~labels:(fun a ->
-                  String.concat "," (O.Action_space.action actions a))
-                res.C.Trainer.attrib
-            in
-            Option.iter (fun r -> Obs.Run.write_attrib r attrib_doc) run;
             let cov = res.C.Trainer.coverage in
             Option.iter
-              (fun r -> Obs.Run.write_coverage r (Obs.Coverage.to_json cov))
+              (fun r ->
+                Obs.Run.write_attrib r (Obs.Coverage.attrib_to_json cov);
+                Obs.Run.write_coverage r (Obs.Coverage.to_json cov))
               run;
             let n_alerts = List.length res.C.Trainer.alerts in
             if n_alerts > 0 then
@@ -587,7 +585,10 @@ let eval_cmd =
        (reward components are not re-derived — counts/entropy only);
        results come back in input order, so the table is byte-identical
        across --jobs settings like eval.json itself *)
-    let coverage = C.Trainer.make_coverage ~registry:Obs.Metrics.global actions in
+    let coverage =
+      C.Trainer.make_coverage ~registry:Obs.Metrics.global
+        ~max_pos:C.Environment.default_max_steps actions
+    in
     with_serve ~coverage:(fun () -> Some (Obs.Coverage.to_json coverage)) ~serve
       ~grace:serve_grace ~kind:"eval"
       ~run_dir:(fun () -> Option.map Obs.Run.dir run)
@@ -935,7 +936,7 @@ let runs_list_cmd =
     Term.(const go $ root_arg)
 
 let print_eval_tables (doc : Obs.Json.t) =
-  match Obs.Runlog.field "suites" doc with
+  match Obs.Json.member "suites" doc with
   | Some (Obs.Json.Arr suites) ->
     let t =
       Tbl.create ~title:"eval: size reduction vs Oz (eval.json)"
@@ -1001,6 +1002,37 @@ let runs_show_cmd =
     (Cmd.info "show"
        ~doc:"Show a run: manifest, ASCII training curves, eval tables")
     Term.(const go $ root_arg $ id)
+
+(* A run's decision-space table from its two ledger documents:
+   coverage.json always, attrib.json when present. [attrib] also
+   requires attrib.json (the attribution views have nothing to show
+   without it). Absent, torn or inconsistent documents read as [None]. *)
+let ledger_table ~(attrib : bool) (i : Obs.Run.info) : Obs.Coverage.t option =
+  match Obs.Run.read_coverage i, Obs.Run.read_attrib i with
+  | Some doc, (Some _ as a) -> Obs.Coverage.of_json ?attrib:a doc
+  | Some doc, None when not attrib -> Obs.Coverage.of_json doc
+  | _ -> None
+
+(* The recompute contract behind `explain` and `coverage`: the table the
+   run streamed must equal the brute-force fold over its progress
+   records, float for float. CI greps the "matches the ... stream
+   exactly" line. A train ledger that lost attrib.json fails it: its
+   table reads with zero reward cells. *)
+let print_recompute_check ~(check : string) ~(stream : string)
+    ~(no_stream : string) (tbl : Obs.Coverage.t) (records : Obs.Json.t list) =
+  let recomputed = Obs.Coverage.of_records ~like:tbl records in
+  if Obs.Coverage.steps recomputed = 0 && Obs.Coverage.steps tbl > 0 then
+    Printf.printf
+      "%s check: episode records carry no %s; recompute skipped\n" check
+      no_stream
+  else if Obs.Coverage.equal tbl recomputed then
+    Printf.printf "%s check: table matches the %s stream exactly (%d steps)\n"
+      check stream (Obs.Coverage.steps tbl)
+  else
+    Printf.printf
+      "%s check: DIVERGENCE between coverage.json/attrib.json and the \
+       episode stream\n"
+      check
 
 let runs_compare_cmd =
   let base =
@@ -1081,27 +1113,23 @@ let runs_compare_cmd =
     if attrib then begin
       (* informational only — attribution shifts explain a reward delta,
          they don't gate it, so this never affects the exit code *)
-      let table_of (i : Obs.Run.info) =
-        Option.bind (Obs.Run.read_attrib i) Posetrl_rl.Attrib.of_json
-      in
-      match table_of b, table_of c with
+      match ledger_table ~attrib:true b, ledger_table ~attrib:true c with
       | None, _ | _, None ->
         Printf.printf
           "attribution: no data on at least one side (pre-attribution run \
            or unreadable attrib.json)\n"
       | Some ab, Some ac ->
-        let n = min (Posetrl_rl.Attrib.n_actions ab)
-                  (Posetrl_rl.Attrib.n_actions ac) in
+        let n = min (Obs.Coverage.n_actions ab) (Obs.Coverage.n_actions ac) in
         let rows =
           List.init n Fun.id
           |> List.filter (fun a ->
-                 Posetrl_rl.Attrib.count ab a > 0
-                 || Posetrl_rl.Attrib.count ac a > 0)
+                 Obs.Coverage.action_count ab a > 0
+                 || Obs.Coverage.action_count ac a > 0)
           |> List.sort (fun x y ->
                  let shift a =
                    Float.abs
-                     (Posetrl_rl.Attrib.total_reward ac a
-                      -. Posetrl_rl.Attrib.total_reward ab a)
+                     (Obs.Coverage.total_reward ac a
+                      -. Obs.Coverage.total_reward ab a)
                  in
                  compare (shift y) (shift x))
         in
@@ -1117,23 +1145,20 @@ let runs_compare_cmd =
             if i < 15 then
               Tbl.add_row t
                 [ string_of_int a;
-                  Printf.sprintf "%d/%d" (Posetrl_rl.Attrib.count ab a)
-                    (Posetrl_rl.Attrib.count ac a);
-                  Printf.sprintf "%.3f" (Posetrl_rl.Attrib.total_reward ab a);
-                  Printf.sprintf "%.3f" (Posetrl_rl.Attrib.total_reward ac a);
+                  Printf.sprintf "%d/%d" (Obs.Coverage.action_count ab a)
+                    (Obs.Coverage.action_count ac a);
+                  Printf.sprintf "%.3f" (Obs.Coverage.total_reward ab a);
+                  Printf.sprintf "%.3f" (Obs.Coverage.total_reward ac a);
                   Printf.sprintf "%+.3f"
-                    (Posetrl_rl.Attrib.total_reward ac a
-                     -. Posetrl_rl.Attrib.total_reward ab a) ])
+                    (Obs.Coverage.total_reward ac a
+                     -. Obs.Coverage.total_reward ab a) ])
           rows;
         Tbl.print t
     end;
     if coverage then begin
       (* informational only, like --attrib: an exploration shift explains
          a reward delta, it doesn't gate the comparison *)
-      let cov_of (i : Obs.Run.info) =
-        Option.bind (Obs.Run.read_coverage i) Obs.Coverage.of_json
-      in
-      match cov_of b, cov_of c with
+      match ledger_table ~attrib:false b, ledger_table ~attrib:false c with
       | None, _ | _, None ->
         Printf.printf
           "coverage: no data on at least one side (pre-coverage run or \
@@ -1195,15 +1220,13 @@ let runs_cmd =
 
 (* --- explain (policy introspection from the ledger) -------------------------- *)
 
-module Attrib = Posetrl_rl.Attrib
-
 (* The per-window action histograms behind the drift timeline: episode
    records chunked into [windows] consecutive groups, each folded into a
    selection-count array sized by the largest action id seen. *)
 let drift_windows ~(windows : int) (episodes : Obs.Json.t list) :
     (int * int * int array) list =
   let actions_of r =
-    match Obs.Runlog.field "actions" r with
+    match Obs.Json.member "actions" r with
     | Some (Obs.Json.Arr l) ->
       List.filter_map
         (function Obs.Json.Int a when a >= 0 -> Some a | _ -> None)
@@ -1268,84 +1291,50 @@ let explain_cmd =
       Printf.printf "(%d torn progress line%s skipped)\n" dropped
         (if dropped = 1 then "" else "s");
     (* 1 — per-pass reward attribution (attrib.json, verified vs ledger) *)
-    (match Obs.Run.read_attrib info with
+    (match ledger_table ~attrib:true info with
      | None ->
        print_string
          "\nattribution: no data (run predates the attribution layer, or \
-          attrib.json is unreadable)\n"
-     | Some doc ->
-       match Attrib.of_json doc with
-       | None ->
-         print_string
-           "\nattribution: attrib.json is structurally invalid — no data\n"
-       | Some at ->
-         let n = Attrib.n_actions at in
-         let labels = Array.make n "" in
-         (match Obs.Runlog.field "actions" doc with
-          | Some (Obs.Json.Arr entries) ->
-            List.iter
-              (fun e ->
-                match Obs.Runlog.num "action" e, Obs.Runlog.str "passes" e with
-                | Some a, Some p ->
-                  let a = int_of_float a in
-                  if a >= 0 && a < n then labels.(a) <- p
-                | _ -> ())
-              entries
-          | _ -> ());
-         Printf.printf "\nper-action reward attribution (%d steps):\n"
-           (Attrib.steps at);
-         let taken =
-           List.init n Fun.id
-           |> List.filter (fun a -> Attrib.count at a > 0)
-           |> List.sort (fun a b ->
-                  compare (Attrib.total_reward at b) (Attrib.total_reward at a))
-         in
-         let t =
-           Tbl.create ~title:"reward attribution (attrib.json)"
-             ~headers:[ "action"; "count"; "reward"; "mean"; "binsize";
-                        "throughput"; "top pos"; "passes" ]
-             ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right;
-                       Tbl.Right; Tbl.Right; Tbl.Left ]
-             ()
-         in
-         List.iteri
-           (fun i a ->
-             if i < top then
-               Tbl.add_row t
-                 [ string_of_int a;
-                   string_of_int (Attrib.count at a);
-                   Printf.sprintf "%.3f" (Attrib.total_reward at a);
-                   Printf.sprintf "%.3f" (Attrib.mean_reward at a);
-                   Printf.sprintf "%.3f" (Attrib.total_binsize at a);
-                   Printf.sprintf "%.3f" (Attrib.total_throughput at a);
-                   (match Attrib.top_position at a with
-                    | Some p -> string_of_int p
-                    | None -> "-");
-                   labels.(a) ])
-           taken;
-         Tbl.print t;
-         if List.length taken > top then
-           Printf.printf "  (%d more actions with selections not shown)\n"
-             (List.length taken - top);
-         (* the recompute contract: the streaming table must equal the
-            brute-force fold over the ledger's per-step rewards, float
-            for float — CI greps the "matches" line *)
-         let recomputed =
-           Attrib.of_records ~n_actions:n ~max_pos:(Attrib.max_pos at) records
-         in
-         if Attrib.steps recomputed = 0 && Attrib.steps at > 0 then
-           print_string
-             "attribution check: episode records carry no per-step rewards \
-              (pre-attribution ledger); recompute skipped\n"
-         else if Attrib.equal at recomputed then
-           Printf.printf
-             "attribution check: table matches the episode stream exactly \
-              (%d steps)\n"
-             (Attrib.steps at)
-         else
-           print_string
-             "attribution check: DIVERGENCE between attrib.json and the \
-              episode stream\n");
+          attrib.json / coverage.json is unreadable)\n"
+     | Some at ->
+       let module Cov = Obs.Coverage in
+       Printf.printf "\nper-action reward attribution (%d steps):\n"
+         (Cov.steps at);
+       let taken =
+         List.init (Cov.n_actions at) Fun.id
+         |> List.filter (fun a -> Cov.action_count at a > 0)
+         |> List.sort (fun a b ->
+                compare (Cov.total_reward at b) (Cov.total_reward at a))
+       in
+       let t =
+         Tbl.create ~title:"reward attribution (attrib.json)"
+           ~headers:[ "action"; "count"; "reward"; "mean"; "binsize";
+                      "throughput"; "top pos"; "passes" ]
+           ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right;
+                     Tbl.Right; Tbl.Right; Tbl.Left ]
+           ()
+       in
+       List.iteri
+         (fun i a ->
+           if i < top then
+             Tbl.add_row t
+               [ string_of_int a;
+                 string_of_int (Cov.action_count at a);
+                 Printf.sprintf "%.3f" (Cov.total_reward at a);
+                 Printf.sprintf "%.3f" (Cov.mean_reward at a);
+                 Printf.sprintf "%.3f" (Cov.total_binsize at a);
+                 Printf.sprintf "%.3f" (Cov.total_throughput at a);
+                 (match Cov.top_position at a with
+                  | Some p -> string_of_int p
+                  | None -> "-");
+                 Cov.action_label at a ])
+         taken;
+       Tbl.print t;
+       if List.length taken > top then
+         Printf.printf "  (%d more actions with selections not shown)\n"
+           (List.length taken - top);
+       print_recompute_check ~check:"attribution" ~stream:"episode"
+         ~no_stream:"per-step rewards (pre-attribution ledger)" at records);
     (* 2 — top schedules with their per-pass reward breakdown *)
     let episodes =
       List.filter (fun r -> Obs.Runlog.str "kind" r = Some "episode") records
@@ -1363,7 +1352,7 @@ let explain_cmd =
         (fun i (rew, r) ->
           if i < schedules then begin
             let seq =
-              match Obs.Runlog.field "actions" r with
+              match Obs.Json.member "actions" r with
               | Some (Obs.Json.Arr l) ->
                 String.concat "->"
                   (List.filter_map
@@ -1451,97 +1440,78 @@ let coverage_cmd =
     Printf.printf "run %s  [%s, %s]\n" info.Obs.Run.run_id
       (Option.value ~default:"?" (Obs.Runlog.str "kind" m))
       (Option.value ~default:"?" (Obs.Runlog.str "status" m));
-    match Obs.Run.read_coverage info with
+    match ledger_table ~attrib:false info with
     | None ->
       print_string
         "coverage: no data (run predates the coverage layer, or \
          coverage.json is unreadable)\n"
-    | Some doc ->
-      match Obs.Coverage.of_json doc with
-      | None ->
-        print_string "coverage: coverage.json is structurally invalid — no data\n"
-      | Some cov ->
-        Printf.printf
-          "\ndecision-space coverage (%d steps, %d episodes):\n\
-          \  ODG edges visited   %d/%d (%.1f%%)\n\
-          \  ODG nodes visited   %d/%d\n\
-          \  action entropy      %.3f bits (max %.3f over %d actions)\n\
-          \  state sketch        %d/%d buckets occupied\n"
-          (Obs.Coverage.steps cov) (Obs.Coverage.episodes cov)
-          (Obs.Coverage.edges_visited cov) (Obs.Coverage.edge_count cov)
-          (Obs.Coverage.edge_pct cov)
-          (Obs.Coverage.nodes_visited cov) (Obs.Coverage.node_count cov)
-          (Obs.Coverage.entropy cov)
-          (Float.log2 (float_of_int (Obs.Coverage.n_actions cov)))
-          (Obs.Coverage.n_actions cov)
-          (Obs.Coverage.sketch_occupied cov)
-          (1 lsl Obs.Coverage.sketch_bits cov);
-        (match Obs.Coverage.top_edges cov ~k:top with
-         | [] -> print_string "no visited edges\n"
-         | edges ->
-           let t =
-             Tbl.create ~title:"hottest ODG edges (coverage.json)"
-               ~headers:[ "edge"; "visits"; "mean r"; "mean binsize";
-                          "mean throughput" ]
-               ~aligns:[ Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
-               ()
-           in
-           List.iter
-             (fun (u, v, count, r, rb, rt) ->
-               let mean x = x /. float_of_int count in
-               Tbl.add_row t
-                 [ Printf.sprintf "%s -> %s" (Obs.Coverage.node_name cov u)
-                     (Obs.Coverage.node_name cov v);
-                   string_of_int count;
-                   Printf.sprintf "%.3f" (mean r);
-                   Printf.sprintf "%.3f" (mean rb);
-                   Printf.sprintf "%.3f" (mean rt) ])
-             edges;
-           Tbl.print t);
-        (match Obs.Coverage.top_transitions cov ~k:top with
-         | [] -> ()
-         | trans ->
-           let t =
-             Tbl.create ~title:"top action transitions"
-               ~headers:[ "from"; "to"; "count" ]
-               ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right ]
-               ()
-           in
-           List.iter
-             (fun (a, b, count) ->
-               Tbl.add_row t
-                 [ string_of_int a; string_of_int b; string_of_int count ])
-             trans;
-           Tbl.print t);
-        (* the recompute contract, same shape as `posetrl explain`'s
-           attribution check: the streaming table must equal the
-           brute-force fold over the ledger — CI greps the line *)
-        let records, dropped = Obs.Run.read_progress info in
-        if dropped > 0 then
-          Printf.printf "(%d torn progress line%s skipped)\n" dropped
-            (if dropped = 1 then "" else "s");
-        let recomputed =
-          Obs.Coverage.of_records ~like:(Obs.Coverage.universe cov) records
-        in
-        if Obs.Coverage.steps recomputed = 0 && Obs.Coverage.steps cov > 0 then
-          print_string
-            "coverage check: episode records carry no step stream \
-             (eval run or pre-attribution ledger); recompute skipped\n"
-        else if Obs.Coverage.equal cov recomputed then
-          Printf.printf
-            "coverage check: table matches the step stream exactly (%d steps)\n"
-            (Obs.Coverage.steps cov)
-        else
-          print_string
-            "coverage check: DIVERGENCE between coverage.json and the \
-             episode stream\n";
-        (match dot with
-         | Some out ->
-           let oc = open_out out in
-           output_string oc (Obs.Coverage.to_dot cov);
-           close_out oc;
-           Printf.printf "coverage heat dot written to %s\n" out
-         | None -> ())
+    | Some cov ->
+      Printf.printf
+        "\ndecision-space coverage (%d steps, %d episodes):\n\
+        \  ODG edges visited   %d/%d (%.1f%%)\n\
+        \  ODG nodes visited   %d/%d\n\
+        \  action entropy      %.3f bits (max %.3f over %d actions)\n\
+        \  state sketch        %d/%d buckets occupied\n"
+        (Obs.Coverage.steps cov) (Obs.Coverage.episodes cov)
+        (Obs.Coverage.edges_visited cov) (Obs.Coverage.edge_count cov)
+        (Obs.Coverage.edge_pct cov)
+        (Obs.Coverage.nodes_visited cov) (Obs.Coverage.node_count cov)
+        (Obs.Coverage.entropy cov)
+        (Float.log2 (float_of_int (Obs.Coverage.n_actions cov)))
+        (Obs.Coverage.n_actions cov)
+        (Obs.Coverage.sketch_occupied cov)
+        (1 lsl Obs.Coverage.sketch_bits cov);
+      (match Obs.Coverage.top_edges cov ~k:top with
+       | [] -> print_string "no visited edges\n"
+       | edges ->
+         let t =
+           Tbl.create ~title:"hottest ODG edges (coverage.json)"
+             ~headers:[ "edge"; "visits"; "mean r"; "mean binsize";
+                        "mean throughput" ]
+             ~aligns:[ Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
+             ()
+         in
+         List.iter
+           (fun (u, v, count, r, rb, rt) ->
+             let mean x = x /. float_of_int count in
+             Tbl.add_row t
+               [ Printf.sprintf "%s -> %s" (Obs.Coverage.node_name cov u)
+                   (Obs.Coverage.node_name cov v);
+                 string_of_int count;
+                 Printf.sprintf "%.3f" (mean r);
+                 Printf.sprintf "%.3f" (mean rb);
+                 Printf.sprintf "%.3f" (mean rt) ])
+           edges;
+         Tbl.print t);
+      (match Obs.Coverage.top_transitions cov ~k:top with
+       | [] -> ()
+       | trans ->
+         let t =
+           Tbl.create ~title:"top action transitions"
+             ~headers:[ "from"; "to"; "count" ]
+             ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right ]
+             ()
+         in
+         List.iter
+           (fun (a, b, count) ->
+             Tbl.add_row t
+               [ string_of_int a; string_of_int b; string_of_int count ])
+           trans;
+         Tbl.print t);
+      let records, dropped = Obs.Run.read_progress info in
+      if dropped > 0 then
+        Printf.printf "(%d torn progress line%s skipped)\n" dropped
+          (if dropped = 1 then "" else "s");
+      print_recompute_check ~check:"coverage" ~stream:"step"
+        ~no_stream:"step stream (eval run or pre-attribution ledger)" cov
+        records;
+      (match dot with
+       | Some out ->
+         let oc = open_out out in
+         output_string oc (Obs.Coverage.to_dot cov);
+         close_out oc;
+         Printf.printf "coverage heat dot written to %s\n" out
+       | None -> ())
   in
   Cmd.v
     (Cmd.info "coverage"

@@ -18,17 +18,12 @@ type loc = LAlloca of int | LGlobal of string | LUnknown
 
 module LSet : Set.S with type elt = loc
 
-val loc_to_string : loc -> string
-
 (* Per-function points-to facts. *)
 type finfo
 
 val of_func : Func.t -> finfo
 
 val is_escaped : finfo -> int -> bool
-
-(* Allocas whose address never escapes the function. *)
-val private_allocas : finfo -> ISet.t
 
 (* May the two pointer values reference overlapping memory? [LUnknown]
    overlaps everything except non-escaping allocas; syntactically equal
@@ -48,18 +43,14 @@ type modref = {
   ref_unknown : bool;
 }
 
-val modref_bottom : modref
 val modref_top : modref
-val modref_join : modref -> modref -> modref
 val modref_equal : modref -> modref -> bool
-val modref_to_string : modref -> string
 
 (* Module-wide summary: per-function points-to plus the mod/ref
    fixpoint over the call graph. *)
 type t
 
 val summarize : Modul.t -> t
-val finfo_of : t -> string -> finfo option
 
 (* Mod/ref summary for the named function; [modref_top] for unknown or
    external functions. *)

@@ -38,11 +38,16 @@ let m_td_loss =
   Obs.Metrics.histogram "posetrl.train.td_loss"
     ~buckets:[| 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0; 100.0 |]
 
-(* per-action selection counters, labeled by sub-sequence id; handles
-   are cached per training run (the action-space size is per-run) *)
-let action_counter (i : int) =
-  Obs.Metrics.counter ~labels:[ ("action", string_of_int i) ]
-    "posetrl.train.action_selected"
+(* per-action series, labeled by sub-sequence id: the selection
+   counter plus the attribution pair (posetrl.attrib.count and the
+   running posetrl.attrib.reward_total read back from the decision-space
+   table); handles are cached per training run (the action-space size
+   is per-run) *)
+let action_series (i : int) =
+  let labels = [ ("action", string_of_int i) ] in
+  ( Obs.Metrics.counter ~labels "posetrl.train.action_selected",
+    Obs.Metrics.counter ~labels "posetrl.attrib.count",
+    Obs.Metrics.gauge ~labels "posetrl.attrib.reward_total" )
 
 type hyperparams = {
   total_steps : int;
@@ -122,15 +127,15 @@ type episode_summary = {
   ep_actions : int list;   (* sub-sequence ids taken this episode, in order *)
   ep_step_rewards : (float * float * float) list;
   (* per-step (reward, r_binsize, r_throughput), aligned with ep_actions —
-     what the ledger persists so attribution is recomputable offline *)
+     what the ledger persists so the decision-space table is recomputable
+     offline *)
 }
 
 type result = {
   agent : Rl.Dqn.t;
   episodes : int;
   final_mean_reward : float;
-  attrib : Rl.Attrib.t;            (* streaming per-action attribution *)
-  coverage : Obs.Coverage.t;       (* streaming decision-space coverage *)
+  coverage : Obs.Coverage.t;       (* streaming decision-space table *)
   alerts : Obs.Health.alert list;  (* watchdog alerts, oldest first *)
 }
 
@@ -148,9 +153,9 @@ let coverage_universe (actions : Posetrl_odg.Action_space.t) :
 (* One shared constructor so the trainer's default table and the CLI's
    live-serve table (which must be the same object to appear on
    /coverage) are built identically. *)
-let make_coverage ?registry (actions : Posetrl_odg.Action_space.t) :
-    Obs.Coverage.t =
-  Obs.Coverage.create ?registry ~state_dim:Environment.state_dim
+let make_coverage ?registry ~(max_pos : int)
+    (actions : Posetrl_odg.Action_space.t) : Obs.Coverage.t =
+  Obs.Coverage.create ?registry ~state_dim:Environment.state_dim ~max_pos
     (coverage_universe actions)
 
 let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
@@ -179,22 +184,17 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
       ~n_actions:(Environment.n_actions env)
   in
   let replay = Rl.Replay.create hp.replay_capacity in
-  let action_counters =
-    Array.init (Environment.n_actions env) action_counter
-  in
-  (* streaming reward attribution: pure accumulation over the step
-     stream, so the table is byte-identical across --jobs settings *)
-  let attrib =
-    Rl.Attrib.create ~registry:Obs.Metrics.global
-      ~n_actions:(Environment.n_actions env) ~max_pos:hp.max_episode_steps ()
-  in
-  (* streaming decision-space coverage: same pure-fold determinism
-     contract as [attrib]; the CLI passes its own table in when it also
+  let action_metrics = Array.init (Environment.n_actions env) action_series in
+  (* streaming decision-space table (coverage + reward attribution): a
+     pure fold over the step stream, so it is byte-identical across
+     --jobs settings; the CLI passes its own table in when it also
      serves the live /coverage endpoint *)
   let coverage =
     match coverage with
     | Some c -> c
-    | None -> make_coverage ~registry:Obs.Metrics.global actions
+    | None ->
+      make_coverage ~registry:Obs.Metrics.global
+        ~max_pos:hp.max_episode_steps actions
   in
   (* watchdog state: engine + the last-window action histogram it reads *)
   let watchdog = Obs.Health.create ~config:health () in
@@ -285,7 +285,10 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
       let epsilon = Rl.Schedule.value hp.epsilon !step in
       Obs.Metrics.set m_epsilon epsilon;
       let action = Rl.Dqn.select_action agent rng ~epsilon !state in
-      Obs.Metrics.inc action_counters.(action);
+      let m_selected, m_attrib_count, m_attrib_reward =
+        action_metrics.(action)
+      in
+      Obs.Metrics.inc m_selected;
       win_actions.(action) <- win_actions.(action) + 1;
       ep_actions := action :: !ep_actions;
       let res = Environment.step env action in
@@ -296,15 +299,14 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
         (res.Environment.reward, res.Environment.r_binsize,
          res.Environment.r_throughput)
         :: !ep_steps;
-      Rl.Attrib.observe attrib ~action ~pos:!ep_pos
-        ~reward:res.Environment.reward ~r_binsize:res.Environment.r_binsize
-        ~r_throughput:res.Environment.r_throughput;
       (* the sketch hashes the pre-action embedding (the state the
          policy decided in); the table folds the step itself *)
       Obs.Coverage.observe_state coverage !state;
       Obs.Coverage.observe coverage ~action ~pos:!ep_pos
         ~reward:res.Environment.reward ~r_binsize:res.Environment.r_binsize
         ~r_throughput:res.Environment.r_throughput;
+      Obs.Metrics.inc m_attrib_count;
+      Obs.Metrics.set m_attrib_reward (Obs.Coverage.total_reward coverage action);
       incr ep_pos;
       Rl.Replay.push ~step:!step replay
         { Rl.Replay.state = !state;
@@ -398,6 +400,5 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
   { agent;
     episodes = !episode;
     final_mean_reward = window_mean reward_window;
-    attrib;
     coverage;
     alerts = Obs.Health.alerts watchdog }

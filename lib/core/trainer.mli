@@ -48,8 +48,8 @@ type episode_summary = {
   ep_actions : int list;    (** sub-sequence ids taken this episode, in order *)
   ep_step_rewards : (float * float * float) list;
   (** per-step (reward, r_binsize, r_throughput), aligned with
-      [ep_actions] — persisted so attribution is recomputable from the
-      ledger alone *)
+      [ep_actions] — persisted so the decision-space table (attribution
+      included) is recomputable from the ledger alone *)
 }
 (** One record per finished episode; the run ledger streams these to
     [progress.jsonl] as the reward-decomposition telemetry. *)
@@ -58,13 +58,12 @@ type result = {
   agent : Posetrl_rl.Dqn.t;
   episodes : int;
   final_mean_reward : float;
-  attrib : Posetrl_rl.Attrib.t;
-  (** streaming per-action reward attribution over the whole run;
-      byte-identical across [--jobs] settings *)
   coverage : Posetrl_obs.Coverage.t;
-  (** streaming decision-space coverage (ODG node/edge visits,
-      transition matrix, entropy series, state sketch); same
-      determinism contract as [attrib] *)
+  (** the streaming decision-space table over the whole run: ODG
+      node/edge visits, transition matrix, entropy series, state sketch
+      and the per-action reward attribution (reward-split totals and
+      position histogram) — the source of both coverage.json and
+      attrib.json; byte-identical across [--jobs] settings *)
   alerts : Posetrl_obs.Health.alert list;
   (** watchdog alerts fired during the run, oldest first *)
 }
@@ -75,10 +74,11 @@ val coverage_universe :
     ODG, packaged for {!Posetrl_obs.Coverage}. *)
 
 val make_coverage :
-  ?registry:Posetrl_obs.Metrics.t ->
+  ?registry:Posetrl_obs.Metrics.t -> max_pos:int ->
   Posetrl_odg.Action_space.t -> Posetrl_obs.Coverage.t
-(** A fresh coverage table over {!coverage_universe} with the IR2Vec
-    state width — what {!train} builds when no [coverage] is passed.
+(** A fresh decision-space table over {!coverage_universe} with the
+    IR2Vec state width and [max_pos] position buckets — what {!train}
+    builds (at [hp.max_episode_steps]) when no [coverage] is passed.
     The CLI builds one itself (with the global registry) so the same
     table can both feed training and back the live [/coverage]
     endpoint. *)

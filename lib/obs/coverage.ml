@@ -1,5 +1,7 @@
-(* Decision-space coverage over the ODG (which part of the graph the
-   policy actually explores, not just how well it scores).
+(* The decision-space table: which part of the ODG the policy actually
+   explores, and which sub-sequences carry the reward (the AutoPhase-
+   style per-pass attribution, made always-on). Both are projections of
+   one step stream, so one table folds it once.
 
    The trainer feeds every environment step's (action, position, reward
    split) into a table keyed by a fixed *universe* — the ODG nodes, the
@@ -8,8 +10,12 @@
    takes plain arrays so the obs layer keeps its no-odg dependency).
    Per step the table credits node visits along the action's path, the
    intra-path ODG edges plus the junction edge from the previous
-   action's last node, the action×action transition matrix, and the
-   cumulative action histogram that drives the Shannon entropy series.
+   action's last node, the action×action transition matrix, the
+   cumulative action histogram that drives the Shannon entropy series,
+   and the action's attribution cells: reward-split totals and a
+   schedule-position histogram (positions ≥ [max_pos] clamp into the
+   last bucket). The walk persists as coverage.json, the attribution as
+   attrib.json.
 
    Everything except the state sketch is a pure fold over the in-order
    step stream, so the table is byte-deterministic per seed — including
@@ -23,7 +29,9 @@
 
    Metric exposure is opt-in per table ([registry]): the trainer's
    table publishes posetrl.coverage.* gauges on [sample]; recomputed
-   tables (tests, `posetrl coverage`) stay silent. *)
+   tables (tests, `posetrl coverage`) stay silent. The per-action
+   posetrl.attrib.* series are the trainer's, not the table's, so an
+   eval table publishes none. *)
 
 module Rng = Posetrl_support.Rng
 
@@ -55,6 +63,11 @@ type t = {
   edge_index : (int * int, int) Hashtbl.t;
   transitions : int array array; (* prev action × next action *)
   action_counts : int array;
+  max_pos : int;
+  reward_totals : float array; (* per action: Eqn-1 reward sum *)
+  binsize_totals : float array; (* per action: Eqn-2 component sum *)
+  throughput_totals : float array; (* per action: Eqn-3 component sum *)
+  positions : int array array; (* action × clamped schedule position *)
   mutable steps : int;
   mutable episodes : int;
   mutable prev_action : int; (* -1 at episode boundaries *)
@@ -71,7 +84,7 @@ let fresh_edge_cell () =
   { e_count = 0; e_reward = 0.0; e_binsize = 0.0; e_throughput = 0.0 }
 
 let create ?registry ?(sketch_bits = 6) ?(sketch_seed = 9461)
-    ?(state_dim = 300) (u : universe) : t =
+    ?(state_dim = 300) ~(max_pos : int) (u : universe) : t =
   let n_nodes = Array.length u.nodes in
   let n_actions = Array.length u.action_paths in
   if n_actions = 0 then invalid_arg "Coverage.create: empty action set";
@@ -85,6 +98,7 @@ let create ?registry ?(sketch_bits = 6) ?(sketch_seed = 9461)
          if i < 0 || i >= n_nodes then
            invalid_arg "Coverage.create: action path node out of range"))
     u.action_paths;
+  let max_pos = max 1 max_pos in
   let sketch_bits = max 1 (min 12 sketch_bits) in
   let state_dim = max 1 state_dim in
   let edge_index = Hashtbl.create (max 16 (2 * Array.length u.edges)) in
@@ -116,6 +130,11 @@ let create ?registry ?(sketch_bits = 6) ?(sketch_seed = 9461)
     edge_index;
     transitions = Array.make_matrix n_actions n_actions 0;
     action_counts = Array.make n_actions 0;
+    max_pos;
+    reward_totals = Array.make n_actions 0.0;
+    binsize_totals = Array.make n_actions 0.0;
+    throughput_totals = Array.make n_actions 0.0;
+    positions = Array.make_matrix n_actions max_pos 0;
     steps = 0;
     episodes = 0;
     prev_action = -1;
@@ -127,7 +146,6 @@ let create ?registry ?(sketch_bits = 6) ?(sketch_seed = 9461)
     sketch = Array.make (1 lsl sketch_bits) 0;
     metrics }
 
-let universe (t : t) = t.universe
 let n_actions (t : t) = t.n_actions
 let steps (t : t) = t.steps
 let episodes (t : t) = t.episodes
@@ -136,6 +154,32 @@ let edge_count (t : t) = Array.length t.universe.edges
 let node_name (t : t) (i : int) = t.universe.nodes.(i)
 let node_visits (t : t) (i : int) = t.node_counts.(i)
 let action_count (t : t) (a : int) = t.action_counts.(a)
+let total_reward (t : t) (a : int) = t.reward_totals.(a)
+let total_binsize (t : t) (a : int) = t.binsize_totals.(a)
+let total_throughput (t : t) (a : int) = t.throughput_totals.(a)
+let positions (t : t) (a : int) = Array.copy t.positions.(a)
+
+let mean_reward (t : t) (a : int) =
+  let n = t.action_counts.(a) in
+  if n = 0 then 0.0 else t.reward_totals.(a) /. float_of_int n
+
+(* the schedule position this action is most often taken at *)
+let top_position (t : t) (a : int) : int option =
+  if t.action_counts.(a) = 0 then None
+  else begin
+    let ps = t.positions.(a) in
+    let best = ref 0 in
+    Array.iteri (fun p n -> if n > ps.(!best) then best := p) ps;
+    Some !best
+  end
+
+(* the action's pass path, comma-joined — the "passes" label of
+   attrib.json and `posetrl explain` *)
+let action_label (t : t) (a : int) =
+  String.concat ","
+    (Array.to_list
+       (Array.map (fun n -> t.universe.nodes.(n)) t.universe.action_paths.(a)))
+
 let transition (t : t) ~(from : int) ~(to_ : int) = t.transitions.(from).(to_)
 
 let nodes_visited (t : t) =
@@ -198,6 +242,12 @@ let observe (t : t) ~(action : int) ~(pos : int) ~(reward : float)
         path.(0) ~reward ~r_binsize ~r_throughput
   end;
   t.action_counts.(action) <- t.action_counts.(action) + 1;
+  t.reward_totals.(action) <- t.reward_totals.(action) +. reward;
+  t.binsize_totals.(action) <- t.binsize_totals.(action) +. r_binsize;
+  t.throughput_totals.(action) <- t.throughput_totals.(action) +. r_throughput;
+  let p = if pos < 0 then 0 else min pos (t.max_pos - 1) in
+  let ps = t.positions.(action) in
+  ps.(p) <- ps.(p) + 1;
   Array.iter (fun n -> t.node_counts.(n) <- t.node_counts.(n) + 1) path;
   for i = 0 to Array.length path - 2 do
     credit_edge t path.(i) path.(i + 1) ~reward ~r_binsize ~r_throughput
@@ -284,6 +334,11 @@ let equal (a : t) (b : t) : bool =
   && a.node_counts = b.node_counts
   && a.action_counts = b.action_counts
   && a.transitions = b.transitions
+  && a.max_pos = b.max_pos
+  && Array.for_all2 Float.equal a.reward_totals b.reward_totals
+  && Array.for_all2 Float.equal a.binsize_totals b.binsize_totals
+  && Array.for_all2 Float.equal a.throughput_totals b.throughput_totals
+  && a.positions = b.positions
   && Array.for_all2
        (fun (x : edge_cell) (y : edge_cell) ->
          x.e_count = y.e_count
@@ -297,11 +352,14 @@ let equal (a : t) (b : t) : bool =
          s1 = s2 && Float.equal p1 p2 && Float.equal e1 e2)
        a.series_rev b.series_rev
 
-(* --- persistence (coverage.json) ----------------------------------------- *)
+(* --- persistence (coverage.json + attrib.json) ---------------------------- *)
 
+let ints xs = Json.Arr (Array.to_list (Array.map (fun n -> Json.Int n) xs))
+
+(* coverage.json: the walk (universe, visits, edges, transitions,
+   series, sketch) *)
 let to_json (t : t) : Json.t =
   let open Json in
-  let ints xs = Arr (Array.to_list (Array.map (fun n -> Int n) xs)) in
   Obj
     [ ("kind", Str "coverage");
       ("n_actions", Int t.n_actions);
@@ -350,29 +408,87 @@ let to_json (t : t) : Json.t =
            ("state_dim", Int t.state_dim);
            ("buckets", ints t.sketch) ]) ]
 
-(* Robust reader: anything structurally off yields [None], never an
-   exception — coverage.json is ledger data and may be torn or from a
-   different version. *)
-let of_json (doc : Json.t) : t option =
+(* attrib.json: the attribution cells, one entry per action labelled by
+   its pass path *)
+let attrib_to_json (t : t) : Json.t =
   let open Json in
-  let int_of = function
-    | Int i -> Some i
-    | Float f -> Some (int_of_float f)
-    | _ -> None
-  in
-  let float_of = function
-    | Float f -> Some f
-    | Int i -> Some (float_of_int i)
-    | Null -> Some Float.nan (* non-finite floats serialize as null *)
-    | _ -> None
-  in
-  let member k j = Runlog.field k j in
-  let int_array = function
-    | Some (Arr xs) ->
-      let out = List.filter_map int_of xs in
-      if List.length out = List.length xs then Some (Array.of_list out) else None
-    | _ -> None
-  in
+  Obj
+    [ ("kind", Str "attrib");
+      ("n_actions", Int t.n_actions);
+      ("max_pos", Int t.max_pos);
+      ("steps", Int t.steps);
+      ("actions",
+       Arr
+         (List.init t.n_actions (fun a ->
+              Obj
+                [ ("action", Int a);
+                  ("passes", Str (action_label t a));
+                  ("count", Int t.action_counts.(a));
+                  ("reward_total", Float t.reward_totals.(a));
+                  ("reward_mean", Float (mean_reward t a));
+                  ("r_binsize_total", Float t.binsize_totals.(a));
+                  ("r_throughput_total", Float t.throughput_totals.(a));
+                  ("positions", ints t.positions.(a)) ]))) ]
+
+let int_of = function
+  | Json.Int i -> Some i
+  | Json.Float f -> Some (int_of_float f)
+  | _ -> None
+
+let float_of = function
+  | Json.Float f -> Some f
+  | Json.Int i -> Some (float_of_int i)
+  | Json.Null -> Some Float.nan (* non-finite floats serialize as null *)
+  | _ -> None
+
+let int_array = function
+  | Some (Json.Arr xs) ->
+    let out = List.filter_map int_of xs in
+    if List.length out = List.length xs then Some (Array.of_list out) else None
+  | _ -> None
+
+(* attrib.json's cells into a table read from coverage.json: false when
+   the document is off or describes another step stream (its steps or
+   per-action counts disagree with coverage.json's) *)
+let fill_attrib (t : t) (doc : Json.t) : bool =
+  let open Json in
+  match
+    ( Runlog.str "kind" doc,
+      Option.bind (member "n_actions" doc) int_of,
+      Option.bind (member "steps" doc) int_of,
+      member "actions" doc )
+  with
+  | Some "attrib", Some n, Some steps, Some (Arr actions)
+    when n = t.n_actions && steps = t.steps && List.length actions = n ->
+    List.for_all
+      (fun entry ->
+        match
+          ( Option.bind (member "action" entry) int_of,
+            Option.bind (member "count" entry) int_of,
+            Option.bind (member "reward_total" entry) float_of,
+            Option.bind (member "r_binsize_total" entry) float_of,
+            Option.bind (member "r_throughput_total" entry) float_of,
+            int_array (member "positions" entry) )
+        with
+        | Some a, Some count, Some r, Some rb, Some rt, Some ps
+          when a >= 0 && a < n && count = t.action_counts.(a)
+               && Array.length ps = t.max_pos ->
+          t.reward_totals.(a) <- r;
+          t.binsize_totals.(a) <- rb;
+          t.throughput_totals.(a) <- rt;
+          Array.blit ps 0 t.positions.(a) 0 t.max_pos;
+          true
+        | _ -> false)
+      actions
+  | _ -> false
+
+(* Robust reader: anything structurally off yields [None], never an
+   exception — both documents are ledger data and may be torn or from a
+   different version. Without attrib.json (eval runs write none) the
+   attribution cells read as a one-bucket position histogram and zero
+   reward totals. *)
+let of_json ?attrib (doc : Json.t) : t option =
+  let open Json in
   match
     ( Runlog.str "kind" doc,
       member "universe" doc,
@@ -412,11 +528,17 @@ let of_json (doc : Json.t) : t option =
     in
     let sketch = member "sketch" doc in
     let sk k = Option.bind (Option.bind sketch (member k)) int_of in
-    match (nodes, edges, paths, sk "bits", sk "seed", sk "state_dim") with
-    | Some nodes, Some edges, Some action_paths, Some bits, Some seed, Some dim
-      when Array.length action_paths > 0 -> (
+    let max_pos =
+      match attrib with
+      | None -> Some 1
+      | Some a -> Option.bind (member "max_pos" a) int_of
+    in
+    match (nodes, edges, paths, sk "bits", sk "seed", sk "state_dim", max_pos) with
+    | Some nodes, Some edges, Some action_paths, Some bits, Some seed, Some dim,
+      Some max_pos
+      when Array.length action_paths > 0 && max_pos > 0 -> (
       match
-        create ~sketch_bits:bits ~sketch_seed:seed ~state_dim:dim
+        create ~sketch_bits:bits ~sketch_seed:seed ~state_dim:dim ~max_pos
           { nodes; edges; action_paths }
       with
       | exception Invalid_argument _ -> None
@@ -469,6 +591,9 @@ let of_json (doc : Json.t) : t option =
              points
          | _ -> ok := false);
         fill_ints t.sketch (int_array (Option.bind sketch (member "buckets")));
+        (match attrib with
+         | Some a -> if not (fill_attrib t a) then ok := false
+         | None -> Array.iteri (fun a n -> t.positions.(a).(0) <- n) t.action_counts);
         if !ok then Some t else None))
     | _ -> None)
   | _ -> None
@@ -481,9 +606,11 @@ let of_json (doc : Json.t) : t option =
    recovered from the episode's end step) is merged with the tick steps
    by index: a tick at step S samples after every step with index ≤ S,
    exactly as the trainer does. *)
-let of_records ?sketch_bits ?sketch_seed ?state_dim ~(like : universe)
-    (records : Json.t list) : t =
-  let t = create ?sketch_bits ?sketch_seed ?state_dim like in
+let of_records ~(like : t) (records : Json.t list) : t =
+  let t =
+    create ~sketch_bits:like.sketch_bits ~sketch_seed:like.sketch_seed
+      ~state_dim:like.state_dim ~max_pos:like.max_pos like.universe
+  in
   let flat = ref [] in
   let ticks = ref [] in
   List.iter

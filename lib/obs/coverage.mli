@@ -1,7 +1,10 @@
-(** Decision-space coverage over the ODG: which nodes/edges of the Oz
+(** The decision-space table over the ODG: which nodes/edges of the Oz
     Dependence Graph the policy actually walks, how its action
-    distribution evolves, and a bucketed sketch of the visited state
-    space (see DESIGN.md §13).
+    distribution evolves, a bucketed sketch of the visited state space,
+    and which actions carry the reward (per-action reward-split totals
+    and schedule-position histogram) — see DESIGN.md §13. One fold of
+    the step stream, persisted as two ledger documents: coverage.json
+    ({!to_json}) and attrib.json ({!attrib_to_json}).
 
     The table is a pure fold over the in-order step stream, so it is
     byte-deterministic per seed — identical for [--jobs 1] and
@@ -26,9 +29,11 @@ type t
 
 val create :
   ?registry:Metrics.t -> ?sketch_bits:int -> ?sketch_seed:int ->
-  ?state_dim:int -> universe -> t
-(** A fresh table. [registry] opts into posetrl.coverage.* gauges
-    (published on {!sample}); recomputed tables stay silent. The state
+  ?state_dim:int -> max_pos:int -> universe -> t
+(** A fresh table. [max_pos] is the number of schedule-position buckets
+    per action (the episode length; clamped to at least 1).
+    [registry] opts into posetrl.coverage.* gauges (published on
+    {!sample}); recomputed tables stay silent. The state
     sketch hashes embeddings into [2^sketch_bits] buckets (default 6)
     through a projection seeded by [sketch_seed] — fixed defaults keep
     tables comparable across runs. [state_dim] defaults to the IR2Vec
@@ -43,9 +48,10 @@ val observe :
     episode; [pos = 0] marks an episode boundary (resets the
     transition predecessor). Credits node visits along the action's
     path, intra-path ODG edges, the junction edge from the previous
-    action's last pass, the action histogram and the transition
-    matrix. Must be called in step-stream order — the determinism
-    contract is the same as [Attrib]'s.
+    action's last pass, the action histogram, the transition matrix
+    and the action's attribution cells (reward-split totals; [pos]
+    clamped into [0, max_pos)). Must be called in step-stream order:
+    the cells are plain float sums in that order.
     @raise Invalid_argument if [action] is out of range. *)
 
 val observe_state : t -> float array -> unit
@@ -59,7 +65,6 @@ val sample : t -> step:int -> unit
 
 (** {1 Readings} *)
 
-val universe : t -> universe
 val n_actions : t -> int
 val steps : t -> int
 val episodes : t -> int
@@ -69,6 +74,22 @@ val node_name : t -> int -> string
 val node_visits : t -> int -> int
 val action_count : t -> int -> int
 val transition : t -> from:int -> to_:int -> int
+
+val total_reward : t -> int -> float
+val total_binsize : t -> int -> float
+val total_throughput : t -> int -> float
+
+val mean_reward : t -> int -> float
+(** Reward total over selection count; 0 for an untaken action. *)
+
+val positions : t -> int -> int array
+(** A copy of the action's schedule-position histogram. *)
+
+val top_position : t -> int -> int option
+(** The position the action is most often taken at; [None] if never. *)
+
+val action_label : t -> int -> string
+(** The action's pass path, comma-joined. *)
 
 val nodes_visited : t -> int
 val edges_visited : t -> int
@@ -99,8 +120,8 @@ val sketch_occupied : t -> int
 val equal : t -> t -> bool
 (** Exact structural equality (floats via [Float.equal]) over
     everything recomputable from the run ledger: universe, counts,
-    edge cells, transitions, series. The sketch and the mid-stream
-    transition cursor are excluded (see module doc). *)
+    edge cells, transitions, series, attribution cells. The sketch and
+    the mid-stream transition cursor are excluded (see module doc). *)
 
 (** {1 Persistence and recompute} *)
 
@@ -108,18 +129,25 @@ val to_json : t -> Json.t
 (** The coverage.json document: self-contained (embeds the universe),
     floats as %.17g so a reload round-trips exactly. *)
 
-val of_json : Json.t -> t option
-(** Robust reader: [None] on anything structurally off, never an
-    exception. *)
+val attrib_to_json : t -> Json.t
+(** The attrib.json document: per action its {!action_label}, count,
+    reward-split totals and position histogram. *)
 
-val of_records :
-  ?sketch_bits:int -> ?sketch_seed:int -> ?state_dim:int ->
-  like:universe -> Json.t list -> t
-(** Brute-force recompute from progress.jsonl records (in file order):
-    episode step streams are re-indexed to global steps and merged
-    with the tick records so every {!sample} lands exactly where the
-    streaming table sampled it. The result is {!equal} to the
-    streaming table of the same run. *)
+val of_json : ?attrib:Json.t -> Json.t -> t option
+(** Read a table back from coverage.json plus, when given, attrib.json.
+    Robust: [None] on anything structurally off — or on an attrib.json
+    whose steps or per-action counts disagree with coverage.json —
+    never an exception. Without [attrib] (eval runs write none) the
+    attribution cells read as zero reward totals in a one-bucket
+    position histogram. *)
+
+val of_records : like:t -> Json.t list -> t
+(** Brute-force recompute from progress.jsonl records (in file order)
+    into a fresh table with [like]'s universe, [max_pos] and sketch
+    parameters: episode step streams are re-indexed to global steps
+    and merged with the tick records so every {!sample} lands exactly
+    where the streaming table sampled it. The result is {!equal} to
+    the streaming table of the same run. *)
 
 val to_dot : ?k:int -> t -> string
 (** Heat-annotated Graphviz rendering of the universe, structurally

@@ -9,7 +9,7 @@ let action_histogram (records : Json.t list) : (int * int) list =
   List.iter
     (fun r ->
       if Runlog.str "kind" r = Some "episode" then
-        match Runlog.field "actions" r with
+        match Json.member "actions" r with
         | Some (Json.Arr actions) ->
           List.iter
             (fun a ->
@@ -91,18 +91,18 @@ let render ?(width = 60) ?(alerts : Json.t list option = None)
      let n k = Runlog.num k doc in
      add "coverage edges %s/%s (%s%%)  entropy %s bits  nodes %s/%s\n"
        (fmt_opt "%.0f" (n "edges_visited"))
-       (match Runlog.field "universe" doc with
+       (match Json.member "universe" doc with
         | Some u ->
-          (match Runlog.field "edges" u with
+          (match Json.member "edges" u with
            | Some (Json.Arr es) -> string_of_int (List.length es)
            | _ -> "-")
         | None -> "-")
        (fmt_opt "%.1f" (n "edge_pct"))
        (fmt_opt "%.2f" (n "entropy_bits"))
        (fmt_opt "%.0f" (n "nodes_visited"))
-       (match Runlog.field "universe" doc with
+       (match Json.member "universe" doc with
         | Some u ->
-          (match Runlog.field "nodes" u with
+          (match Json.member "nodes" u with
            | Some (Json.Arr ns) -> string_of_int (List.length ns)
            | _ -> "-")
         | None -> "-"));

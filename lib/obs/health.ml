@@ -141,7 +141,7 @@ let alert_of_json (j : Json.t) : alert option =
         a_step = int_of_float step;
         a_severity = Option.value ~default:"warn" (Runlog.str "severity" j);
         a_message = Option.value ~default:"" (Runlog.str "message" j);
-        a_value = value_of_json (Runlog.field "value" j) }
+        a_value = value_of_json (Json.member "value" j) }
   | _ -> None
 
 (* --- the rule pass --------------------------------------------------------- *)

@@ -216,17 +216,10 @@ let read_progress (i : info) : Json.t list * int =
   let path = progress_path i.run_dir in
   if Sys.file_exists path then Runlog.read_jsonl path else ([], 0)
 
-let read_eval (i : info) : Json.t option =
-  let path = eval_path i.run_dir in
-  if Sys.file_exists path then Some (Runlog.read_json_file path) else None
-
-(* The health/attribution readers follow the [list_runs] hardening
-   contract: runs that predate the watchdog (no file) and runs whose
-   file is torn or corrupt both render as "no data", never an
-   exception — `posetrl explain` and `watch` must work on any ledger. *)
-
-(* A ledger document that may be absent (older run, other kind) or
-   corrupt; both read as [None], never an exception. *)
+(* The ledger-document readers follow the [list_runs] hardening
+   contract: runs that predate a document (no file) and runs whose file
+   is torn or corrupt both render as "no data", never an exception —
+   `posetrl runs`, `explain` and `watch` must work on any ledger. *)
 let read_doc (path : string) : Json.t option =
   if not (Sys.file_exists path) then None
   else
@@ -234,6 +227,7 @@ let read_doc (path : string) : Json.t option =
     | doc -> Some doc
     | exception (Sys_error _ | Json.Parse_error _) -> None
 
+let read_eval (i : info) = read_doc (eval_path i.run_dir)
 let read_attrib (i : info) = read_doc (attrib_path i.run_dir)
 let read_coverage (i : info) = read_doc (coverage_path i.run_dir)
 let read_serve (i : info) = read_doc (serve_path i.run_dir)
@@ -275,7 +269,7 @@ let mk_delta metric base cand regressed note =
 
 (* suite list out of an eval.json document: (name, avg_red) *)
 let eval_suite_reds (doc : Json.t) : (string * float) list =
-  match Runlog.field "suites" doc with
+  match Json.member "suites" doc with
   | Some (Json.Arr suites) ->
     List.filter_map
       (fun s ->

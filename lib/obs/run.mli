@@ -43,7 +43,7 @@ val write_eval : t -> Json.t -> unit
 
 val write_attrib : t -> Json.t -> unit
 (** Write [attrib.json] (atomic replace) — normally
-    [Posetrl_rl.Attrib.to_json] of the trainer's attribution table. *)
+    [Coverage.attrib_to_json] of the trainer's decision-space table. *)
 
 val write_coverage : t -> Json.t -> unit
 (** Write [coverage.json] (atomic replace) — normally
@@ -93,11 +93,12 @@ val read_progress : info -> Json.t list * int
     [([], 0)] if the stream is absent. *)
 
 val read_eval : info -> Json.t option
+(** The run's eval report. Never raises: [None] means absent (not an
+    eval run) {e or} corrupt — either way the caller renders "no data". *)
 
 val read_attrib : info -> Json.t option
 (** The run's attribution document. Never raises: [None] means the file
-    is absent (run predates the watchdog layer) {e or} corrupt — either
-    way the caller renders "no data". *)
+    is absent (run predates the watchdog layer) {e or} corrupt. *)
 
 val read_coverage : info -> Json.t option
 (** The run's coverage document. Never raises: [None] means absent (run

@@ -63,8 +63,6 @@ let num (key : string) (j : Json.t) : float option =
   | Some (Json.Int i) -> Some (float_of_int i)
   | _ -> None
 
-let field (key : string) (j : Json.t) : Json.t option = Json.member key j
-
 (* nested lookup: [path ["result"; "final_mean_reward"] manifest] *)
 let rec path (keys : string list) (j : Json.t) : Json.t option =
   match keys with
@@ -146,7 +144,7 @@ let episode_record ?(actions = []) ?step_rewards ~(episode : int) ~(step : int)
    with the per-step "steps" reward triples. Records from pre-health
    ledgers have no "steps" field and yield []. *)
 let episode_steps (record : Json.t) : (int * float * float * float) list =
-  match (field "actions" record, field "steps" record) with
+  match (Json.member "actions" record, Json.member "steps" record) with
   | Some (Json.Arr actions), Some (Json.Arr steps)
     when List.length actions = List.length steps ->
     List.map2

@@ -21,8 +21,6 @@ val str : string -> Json.t -> string option
 val num : string -> Json.t -> float option
 (** Top-level field accessors; [num] accepts ints and floats. *)
 
-val field : string -> Json.t -> Json.t option
-
 val path : string list -> Json.t -> Json.t option
 (** Nested object lookup, e.g.
     [path ["result"; "final_mean_reward"] manifest]. *)

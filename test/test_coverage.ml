@@ -3,12 +3,12 @@
    The unit tests drive [Obs.Coverage] directly on a tiny hand-built
    universe where every credit is checkable on paper: node visits along
    the action path, intra-path and junction ODG edges, the transition
-   matrix and its episode-boundary reset, the entropy series. The
-   property test closes the same determinism loop as attribution: the
-   streaming table the trainer builds must equal, float for float, the
-   brute-force recompute from the progress records it emitted — for
-   sequential and pooled training alike, including the tick-aligned
-   entropy samples. *)
+   matrix and its episode-boundary reset, the entropy series. (The
+   table's attribution cells are covered in test_health.) The property
+   test closes the determinism loop: the streaming table the trainer
+   builds must equal, float for float, the brute-force recompute from
+   the progress records it emitted — for sequential and pooled training
+   alike, including the tick-aligned entropy samples. *)
 
 module Obs = Posetrl_obs
 module Cov = Obs.Coverage
@@ -35,7 +35,7 @@ let tiny_universe =
    exercising an intra-path edge, a junction edge and the boundary
    reset *)
 let tiny_table () =
-  let t = Cov.create tiny_universe in
+  let t = Cov.create ~max_pos:4 tiny_universe in
   Cov.observe t ~action:0 ~pos:0 ~reward:1.0 ~r_binsize:0.5 ~r_throughput:0.25;
   Cov.observe t ~action:1 ~pos:1 ~reward:2.0 ~r_binsize:1.0 ~r_throughput:0.5;
   Cov.observe t ~action:2 ~pos:0 ~reward:4.0 ~r_binsize:2.0 ~r_throughput:1.0;
@@ -77,11 +77,11 @@ let test_create_validates () =
   in
   Alcotest.(check bool) "empty action set rejected" true
     (raises (fun () ->
-         Cov.create
+         Cov.create ~max_pos:1
            { Cov.nodes = [| "a" |]; Cov.edges = [||]; Cov.action_paths = [||] }));
   Alcotest.(check bool) "edge endpoint out of range rejected" true
     (raises (fun () ->
-         Cov.create
+         Cov.create ~max_pos:1
            { Cov.nodes = [| "a" |];
              Cov.edges = [| (0, 5) |];
              Cov.action_paths = [| [| 0 |] |] }));
@@ -91,7 +91,7 @@ let test_create_validates () =
            ~r_throughput:0.0))
 
 let test_sample_series () =
-  let t = Cov.create tiny_universe in
+  let t = Cov.create ~max_pos:4 tiny_universe in
   Cov.sample t ~step:0;
   Cov.observe t ~action:0 ~pos:0 ~reward:1.0 ~r_binsize:0.0 ~r_throughput:0.0;
   Cov.sample t ~step:1;
@@ -107,10 +107,12 @@ let test_json_roundtrip_exact () =
   let t = tiny_table () in
   Cov.observe_state t [| 0.5; -1.25; 3.0 |];
   Cov.sample t ~step:3;
-  let doc = Cov.to_json t in
-  (* a serialize → parse → deserialize cycle through the %.17g printer
-     must reproduce the table exactly *)
-  match Cov.of_json (Obs.Json.of_string (Obs.Json.to_string doc)) with
+  let reparse j = Obs.Json.of_string (Obs.Json.to_string j) in
+  (* a serialize → parse → deserialize cycle of both ledger documents
+     through the %.17g printer must reproduce the table exactly *)
+  match
+    Cov.of_json ~attrib:(reparse (Cov.attrib_to_json t)) (reparse (Cov.to_json t))
+  with
   | None -> Alcotest.fail "coverage did not round-trip"
   | Some t' ->
     Alcotest.(check bool) "exact equality after round-trip" true
@@ -186,7 +188,7 @@ let test_run_coverage_file () =
         (Obs.Run.read_coverage (info ()) = None))
 
 let test_to_dot_heat () =
-  let t = Cov.create tiny_universe in
+  let t = Cov.create ~max_pos:4 tiny_universe in
   (* five episodes of action 0: edge (0,1) hot, (1,2)/(2,3) unvisited *)
   for _ = 1 to 5 do
     Cov.observe t ~action:0 ~pos:0 ~reward:0.0 ~r_binsize:0.0 ~r_throughput:0.0
@@ -204,7 +206,7 @@ let test_to_dot_heat () =
   Alcotest.(check bool) "closed" true (String.ends_with ~suffix:"}\n" dot)
 
 let test_sketch_deterministic () =
-  let mk () = Cov.create ~sketch_bits:4 ~sketch_seed:7 ~state_dim:8 tiny_universe in
+  let mk () = Cov.create ~sketch_bits:4 ~sketch_seed:7 ~state_dim:8 ~max_pos:4 tiny_universe in
   let states =
     List.init 16 (fun i ->
         Array.init 8 (fun j -> Float.sin (float_of_int ((i * 8) + j))))
@@ -216,6 +218,27 @@ let test_sketch_deterministic () =
     (Cov.sketch_buckets a) (Cov.sketch_buckets b);
   Alcotest.(check bool) "occupancy within 2^bits" true
     (Cov.sketch_occupied a >= 1 && Cov.sketch_occupied a <= 16)
+
+(* The per-action posetrl.attrib.* series belong to the trainer: a table
+   with a registry (as `posetrl eval` builds one) publishes only its
+   posetrl.coverage.* gauges, however it is fed. *)
+let test_eval_table_publishes_no_attrib () =
+  let r = Obs.Metrics.create () in
+  let t = Cov.create ~registry:r ~max_pos:4 tiny_universe in
+  (* one eval-style rollout: a greedy sequence, reward components not
+     re-derived *)
+  List.iteri
+    (fun pos a ->
+      Cov.observe t ~action:a ~pos ~reward:0.0 ~r_binsize:0.0 ~r_throughput:0.0)
+    [ 0; 1; 2 ];
+  Cov.sample t ~step:(Cov.steps t);
+  let names =
+    List.map (fun row -> row.Obs.Metrics.row_name) (Obs.Metrics.snapshot ~r ())
+  in
+  Alcotest.(check bool) "coverage gauges published" true
+    (List.mem "posetrl.coverage.edge_pct" names);
+  Alcotest.(check (list string)) "no posetrl.attrib.* series" []
+    (List.filter (fun n -> String.starts_with ~prefix:"posetrl.attrib." n) names)
 
 (* --- coverage universe over the real ODG ------------------------------------ *)
 
@@ -230,7 +253,7 @@ let test_coverage_universe_shape () =
   Alcotest.(check int) "all ODG edges present" (O.Graph.edge_count g)
     (Array.length u.Cov.edges);
   (* a table over the real universe accepts every action *)
-  let t = Cov.create u in
+  let t = Cov.create ~max_pos:15 u in
   for a = 0 to Array.length u.Cov.action_paths - 1 do
     Cov.observe t ~action:a ~pos:0 ~reward:0.0 ~r_binsize:0.0 ~r_throughput:0.0
   done;
@@ -305,7 +328,7 @@ let prop_streaming_eq_recompute =
               (fun r -> Obs.Json.of_string (Obs.Json.to_string r))
               records
           in
-          let brute = Cov.of_records ~like:(Cov.universe streaming) reread in
+          let brute = Cov.of_records ~like:streaming reread in
           Cov.equal streaming brute)
         [ 1; 4 ])
 
@@ -325,6 +348,8 @@ let suite =
     Alcotest.test_case "heat dot export" `Quick test_to_dot_heat;
     Alcotest.test_case "state sketch is seed-deterministic" `Quick
       test_sketch_deterministic;
+    Alcotest.test_case "eval table publishes no attrib series" `Quick
+      test_eval_table_publishes_no_attrib;
     Alcotest.test_case "universe over the real ODG" `Quick
       test_coverage_universe_shape;
     QCheck_alcotest.to_alcotest prop_streaming_eq_recompute ]

@@ -1,15 +1,16 @@
-(* Training-health watchdog and reward-attribution tests (DESIGN.md §12).
+(* Training-health watchdog (DESIGN.md §12) and reward-attribution
+   tests (the attribution cells of the decision-space table, §13).
 
    The watchdog tests drive Health.check directly with hand-built
    samples — under Clock.with_fake where the stall rule is involved —
    and assert the edge-trigger contract: one alert per incident, silence
    on healthy runs. The attribution tests close the determinism loop:
    the streaming table the trainer builds must equal, float for float,
-   the brute-force recompute from the episode records it emitted — for
+   the brute-force recompute from the episode records alone — for
    sequential and pooled training alike. *)
 
 module Obs = Posetrl_obs
-module Rl = Posetrl_rl
+module Cov = Obs.Coverage
 module C = Posetrl_core
 module O = Posetrl_odg
 module W = Posetrl_workloads
@@ -187,51 +188,73 @@ let test_alert_json_roundtrip () =
 
 (* --- attribution: unit ------------------------------------------------------- *)
 
+(* a 3-node chain with four actions; the attribution cells are per
+   action, so only the action count matters here *)
+let attrib_universe =
+  { Cov.nodes = [| "a"; "b"; "c" |];
+    Cov.edges = [| (0, 1); (1, 2) |];
+    Cov.action_paths = [| [| 0 |]; [| 1 |]; [| 0; 1 |]; [| 2 |] |] }
+
 let test_attrib_accumulates () =
-  let t = Rl.Attrib.create ~n_actions:4 ~max_pos:5 () in
-  Rl.Attrib.observe t ~action:2 ~pos:0 ~reward:1.5 ~r_binsize:0.5 ~r_throughput:0.2;
-  Rl.Attrib.observe t ~action:2 ~pos:3 ~reward:(-0.5) ~r_binsize:0.25 ~r_throughput:(-0.15);
-  Rl.Attrib.observe t ~action:0 ~pos:99 ~reward:2.0 ~r_binsize:0.0 ~r_throughput:0.4;
-  Alcotest.(check int) "steps" 3 (Rl.Attrib.steps t);
-  Alcotest.(check int) "count" 2 (Rl.Attrib.count t 2);
-  Alcotest.(check (float 1e-12)) "reward total" 1.0 (Rl.Attrib.total_reward t 2);
-  Alcotest.(check (float 1e-12)) "binsize total" 0.75 (Rl.Attrib.total_binsize t 2);
-  Alcotest.(check (float 1e-12)) "mean" 0.5 (Rl.Attrib.mean_reward t 2);
+  let t = Cov.create ~max_pos:5 attrib_universe in
+  Cov.observe t ~action:2 ~pos:0 ~reward:1.5 ~r_binsize:0.5 ~r_throughput:0.2;
+  Cov.observe t ~action:2 ~pos:3 ~reward:(-0.5) ~r_binsize:0.25 ~r_throughput:(-0.15);
+  Cov.observe t ~action:0 ~pos:99 ~reward:2.0 ~r_binsize:0.0 ~r_throughput:0.4;
+  Alcotest.(check int) "steps" 3 (Cov.steps t);
+  Alcotest.(check int) "count" 2 (Cov.action_count t 2);
+  Alcotest.(check (float 1e-12)) "reward total" 1.0 (Cov.total_reward t 2);
+  Alcotest.(check (float 1e-12)) "binsize total" 0.75 (Cov.total_binsize t 2);
+  Alcotest.(check (float 1e-12)) "mean" 0.5 (Cov.mean_reward t 2);
   (* out-of-range positions clamp into the last bucket *)
-  Alcotest.(check int) "pos clamped" 1 (Rl.Attrib.positions t 0).(4);
-  Alcotest.(check (option int)) "top position" (Some 4) (Rl.Attrib.top_position t 0);
-  Alcotest.(check (option int)) "unused action" None (Rl.Attrib.top_position t 1)
+  Alcotest.(check int) "pos clamped" 1 (Cov.positions t 0).(4);
+  Alcotest.(check (option int)) "top position" (Some 4) (Cov.top_position t 0);
+  Alcotest.(check (option int)) "unused action" None (Cov.top_position t 1)
+
+let reparse j = Obs.Json.of_string (Obs.Json.to_string j)
+
+let attrib_table () =
+  let t = Cov.create ~max_pos:4 attrib_universe in
+  Cov.observe t ~action:1 ~pos:2 ~reward:0.1 ~r_binsize:0.30000000000000004
+    ~r_throughput:(-1.25e-3);
+  Cov.observe t ~action:0 ~pos:0 ~reward:7.0 ~r_binsize:0.0 ~r_throughput:1.4;
+  t
 
 let test_attrib_json_roundtrip () =
-  let t = Rl.Attrib.create ~n_actions:3 ~max_pos:4 () in
-  Rl.Attrib.observe t ~action:1 ~pos:2 ~reward:0.1 ~r_binsize:0.30000000000000004
-    ~r_throughput:(-1.25e-3);
-  Rl.Attrib.observe t ~action:0 ~pos:0 ~reward:7.0 ~r_binsize:0.0 ~r_throughput:1.4;
-  let doc = Rl.Attrib.to_json ~labels:(fun a -> Printf.sprintf "p%d" a) t in
+  let t = attrib_table () in
+  let doc = Cov.attrib_to_json t in
+  (match Option.bind (Obs.Json.member "actions" doc) (function
+      | Obs.Json.Arr (_ :: _ :: e :: _) -> Obs.Runlog.str "passes" e
+      | _ -> None) with
+   | Some p -> Alcotest.(check string) "labelled by the pass path" "a,b" p
+   | None -> Alcotest.fail "attrib.json has no action entries");
   (* a serialize → parse → deserialize cycle through the %.17g printer
      must reproduce the table exactly *)
-  match Rl.Attrib.of_json (Obs.Json.of_string (Obs.Json.to_string doc)) with
+  match Cov.of_json ~attrib:(reparse doc) (reparse (Cov.to_json t)) with
   | None -> Alcotest.fail "attrib did not round-trip"
   | Some t' ->
     Alcotest.(check bool) "exact equality after round-trip" true
-      (Rl.Attrib.equal t t')
+      (Cov.equal t t')
 
 let test_attrib_of_json_robust () =
+  let t = attrib_table () in
+  let with_field k v =
+    match Cov.attrib_to_json t with
+    | Obs.Json.Obj fields ->
+      Obs.Json.Obj (List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) fields)
+    | j -> j
+  in
   let bad =
     [ Obs.Json.Str "x";
       Obs.Json.Obj [ ("kind", Obs.Json.Str "attrib") ];
       (* wrong actions arity vs n_actions *)
-      Obs.Json.Obj
-        [ ("kind", Obs.Json.Str "attrib");
-          ("n_actions", Obs.Json.Int 2);
-          ("max_pos", Obs.Json.Int 3);
-          ("steps", Obs.Json.Int 0);
-          ("actions", Obs.Json.Arr []) ] ]
+      with_field "actions" (Obs.Json.Arr []);
+      (* a different step stream than coverage.json's *)
+      with_field "steps" (Obs.Json.Int 3) ]
   in
   List.iter
-    (fun doc ->
+    (fun attrib ->
       Alcotest.(check bool) "malformed doc is None" true
-        (Rl.Attrib.of_json doc = None))
+        (Cov.of_json ~attrib (Cov.to_json t) = None))
     bad
 
 (* --- attribution: streaming = recompute (the determinism property) ----------- *)
@@ -270,7 +293,7 @@ let train_capture ~seed ~jobs =
       Posetrl_support.Pool.with_pool ~name:"test-attrib" ~jobs (fun p ->
           train (Some p))
   in
-  (res.C.Trainer.attrib, List.rev !records)
+  (res.C.Trainer.coverage, List.rev !records)
 
 let prop_streaming_eq_recompute =
   QCheck2.Test.make ~count:3
@@ -287,13 +310,8 @@ let prop_streaming_eq_recompute =
               (fun r -> Obs.Json.of_string (Obs.Json.to_string r))
               records
           in
-          let brute =
-            Rl.Attrib.of_records
-              ~n_actions:(Rl.Attrib.n_actions streaming)
-              ~max_pos:(Rl.Attrib.max_pos streaming)
-              reread
-          in
-          Rl.Attrib.equal streaming brute)
+          let brute = Cov.of_records ~like:streaming reread in
+          Cov.equal streaming brute)
         [ 1; 4 ])
 
 let suite =

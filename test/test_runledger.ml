@@ -211,6 +211,22 @@ let test_attrib_corrupt_is_none () =
       Alcotest.(check bool) "corrupt attrib is None, not an exception" true
         (Run.read_attrib info = None))
 
+(* eval.json is ledger data like the rest: a write cut short must read
+   as "no eval", so `runs show` / `runs compare` keep working *)
+let test_eval_corrupt_is_none () =
+  with_temp_dir (fun root ->
+      let dir = Filename.concat root "e1" in
+      let run = Run.create ~dir ~name:"t" ~meta:[] () in
+      Run.write_eval run (Json.Obj [ ("suites", Json.Arr []) ]);
+      Run.finish run;
+      Alcotest.(check bool) "intact eval reads back" true
+        (Run.read_eval (Run.load dir) <> None);
+      let oc = open_out (Run.eval_path dir) in
+      output_string oc "{\"suites\": [";
+      close_out oc;
+      Alcotest.(check bool) "corrupt eval is None, not an exception" true
+        (Run.read_eval (Run.load dir) = None))
+
 let test_alerts_torn_line_skipped () =
   with_temp_dir (fun root ->
       let dir = Filename.concat root "r1" in
@@ -518,6 +534,7 @@ let suite =
       test_attrib_alerts_missing_is_none;
     Alcotest.test_case "corrupt attrib → None" `Quick
       test_attrib_corrupt_is_none;
+    Alcotest.test_case "corrupt eval → None" `Quick test_eval_corrupt_is_none;
     Alcotest.test_case "torn alert line skipped" `Quick
       test_alerts_torn_line_skipped;
     Alcotest.test_case "empty alerts = healthy" `Quick

@@ -103,7 +103,7 @@ let test_admit () =
   | _ -> Alcotest.fail "a suite program must be admitted"
 
 let schedule_of (doc : Json.t) : int list =
-  match Runlog.field "schedule" doc with
+  match Json.member "schedule" doc with
   | Some (Json.Arr xs) ->
     List.map (function Json.Int i -> i | _ -> -1) xs
   | _ -> Alcotest.fail "result document has no schedule"
@@ -273,7 +273,7 @@ let test_server_batch_route () =
       Server.pump srv;
       let raw = recv s in
       Alcotest.(check int) "batch is 200" 200 (status_of raw);
-      match Runlog.field "results" (Json.of_string (body_of raw)) with
+      match Json.member "results" (Json.of_string (body_of raw)) with
       | Some (Json.Arr [ ok; bad ]) ->
         Alcotest.(check (option string)) "first optimized"
           (Some "optimize-result") (Runlog.str "kind" ok);
@@ -291,7 +291,7 @@ let test_server_admission_and_limits () =
       Alcotest.(check int) "malformed IR is 400" 400 (status_of r1);
       let diag = Json.of_string (body_of r1) in
       Alcotest.(check bool) "diagnostics present" true
-        (Runlog.field "diagnostics" diag <> None);
+        (Json.member "diagnostics" diag <> None);
       (* a body over the bound: 413 before any parsing happens *)
       let s2 = send ~port (post (String.make 2048 'x')) in
       Server.pump srv;

@@ -73,7 +73,7 @@ let test_scrape_golden () =
      set by hand: a 3-node chain, both edges visited, a 50/50 action
      split — entropy exactly 1 bit, coverage exactly 100% *)
   let cov =
-    Obs.Coverage.create ~registry:r
+    Obs.Coverage.create ~registry:r ~max_pos:2
       { Obs.Coverage.nodes = [| "a"; "b"; "c" |];
         Obs.Coverage.edges = [| (0, 1); (1, 2) |];
         Obs.Coverage.action_paths = [| [| 0; 1 |]; [| 2 |] |] }
@@ -270,7 +270,7 @@ let test_telemetry_routes () =
        | doc ->
          Alcotest.(check (option string)) "progress id" (Some "r1")
            (Runlog.str "id" doc);
-         (match Runlog.field "records" doc with
+         (match Json.member "records" doc with
           | Some (Json.Arr [ tick ]) ->
             Alcotest.(check (option (float 0.0))) "tick round trip" (Some 1.0)
               (Runlog.num "step" tick)
@@ -389,7 +389,7 @@ let test_chrome_roundtrip () =
     Alcotest.(check (option string)) "thread metadata" (Some "M")
       (Runlog.str "ph" meta);
     Alcotest.(check (option string)) "main track named" (Some "main")
-      (Option.bind (Runlog.field "args" meta) (Runlog.str "name"));
+      (Option.bind (Json.member "args" meta) (Runlog.str "name"));
     Alcotest.(check (option string)) "outer first" (Some "posetrl.train.episode")
       (Runlog.str "name" first);
     Alcotest.(check (option string)) "phase X" (Some "X")
@@ -399,9 +399,9 @@ let test_chrome_roundtrip () =
     Alcotest.(check (option (float 0.0))) "track = emitting domain" (Some 0.0)
       (Runlog.num "tid" second);
     Alcotest.(check (option string)) "attrs land in args" (Some "dce")
-      (Option.bind (Runlog.field "args" second) (Runlog.str "pass"));
+      (Option.bind (Json.member "args" second) (Runlog.str "pass"));
     Alcotest.(check (option (float 0.0))) "depth in args" (Some 1.0)
-      (Option.bind (Runlog.field "args" second) (Runlog.num "depth"))
+      (Option.bind (Json.member "args" second) (Runlog.num "depth"))
   | _ -> Alcotest.fail "expected metadata + two trace events"
 
 let test_chrome_worker_tracks () =
@@ -413,9 +413,9 @@ let test_chrome_worker_tracks () =
   match Json.of_string (Obs.Chrome.to_string events) with
   | Json.Arr [ m0; m3; _batch; task ] ->
     Alcotest.(check (option string)) "main label" (Some "main")
-      (Option.bind (Runlog.field "args" m0) (Runlog.str "name"));
+      (Option.bind (Json.member "args" m0) (Runlog.str "name"));
     Alcotest.(check (option string)) "worker label" (Some "domain-3")
-      (Option.bind (Runlog.field "args" m3) (Runlog.str "name"));
+      (Option.bind (Json.member "args" m3) (Runlog.str "name"));
     Alcotest.(check (option (float 0.0))) "task on worker track" (Some 3.0)
       (Runlog.num "tid" task)
   | _ -> Alcotest.fail "expected two metadata + two trace events"
@@ -531,7 +531,7 @@ let test_dashboard_coverage_row () =
     (contains (render None) "coverage (not recorded by this run)");
   (* a real document renders the summary straight from coverage.json *)
   let cov =
-    Obs.Coverage.create
+    Obs.Coverage.create ~max_pos:1
       { Obs.Coverage.nodes = [| "a"; "b"; "c" |];
         Obs.Coverage.edges = [| (0, 1); (1, 2) |];
         Obs.Coverage.action_paths = [| [| 0; 1 |]; [| 2 |] |] }
@@ -566,7 +566,7 @@ let test_record_diagnostic_fields () =
       ~r_binsize:0.0 ~r_throughput:0.0 ~size_gain_pct:0.0 ~thru_gain_pct:0.0
       ~epsilon:1.0 ~loss:0.0 ()
   in
-  match Runlog.field "actions" ep with
+  match Json.member "actions" ep with
   | Some (Json.Arr [ Json.Int 4; Json.Int 2 ]) -> ()
   | _ -> Alcotest.fail "episode actions should persist in order"
 
